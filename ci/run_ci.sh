@@ -16,8 +16,10 @@
 #            size > 1) and that the hang-injection section saw the watchdog
 #            reap + replace a wedged worker — and a fixed-seed rollout
 #            smoke (chaos_soak) validating the hot-swap/canary/rollback and
-#            self-healing (stall/leak) invariants and report JSON. Artifact
-#            JSON checks live in ci/validate_artifacts.py.
+#            self-healing (stall/leak) invariants and report JSON, and
+#            the benchmark's own tests (perfbench/tests: smoke runs of
+#            every workload, traced and untraced, with all correctness
+#            gates). Artifact JSON checks live in ci/validate_artifacts.py.
 #   sanitize Debug build with ASan+UBSan running the resilience_check,
 #            kernels_check, and serve_check suites (the latter includes the
 #            watchdog/overload tests) plus a short --threads 2 CLI smoke
@@ -167,6 +169,8 @@ run_release() {
   train_smoke build-ci-release release --epochs1 1 --epochs2 1
   serve_smoke build-ci-release release
   rollout_smoke build-ci-release release 30
+  log "release: perfbench tests (smoke runs of every workload, all gates)"
+  python3 -m unittest discover -s perfbench/tests
 }
 
 run_sanitize() {

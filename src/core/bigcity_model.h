@@ -163,8 +163,12 @@ class BigCityModel : public nn::Module {
 
   // --- Plumbing -----------------------------------------------------------
 
-  /// Must be called after every optimizer step (clears tokenizer caches).
+  /// Drops the tokenizer's ST feature library (after weight loads, and
+  /// before each evaluation pass). See StTokenizer for the lifetime rules.
   void BeginStep() { tokenizer_->BeginStep(); }
+  /// Must be called at the end of every optimizer step: keeps the library
+  /// while the tokenizer's spatial path is frozen, drops it otherwise.
+  void EndStep() { tokenizer_->EndStep(); }
 
   /// Truncates long trajectories to config.max_trajectory_tokens by
   /// uniform subsampling that keeps both endpoints.

@@ -109,11 +109,25 @@ StTokenizer::StTokenizer(const roadnet::RoadNetwork* network,
   null_dynamic_ = RegisterParameter(
       "null_dynamic", Tensor::Randn({1, config_.spatial_dim}, rng, 0.02f,
                                     /*requires_grad=*/true));
+  for (const auto& [name, parameter] : NamedParameters()) {
+    if (name.rfind("temporal_mlp.", 0) != 0) {
+      spatial_parameters_.push_back(parameter);
+    }
+  }
 }
 
 void StTokenizer::BeginStep() {
   cached_static_ = Tensor();
   slice_cache_.clear();
+}
+
+void StTokenizer::EndStep() {
+  if (library_has_graph_ || !SpatialPathFrozen()) BeginStep();
+}
+
+bool StTokenizer::SpatialPathFrozen() const {
+  return std::none_of(spatial_parameters_.begin(), spatial_parameters_.end(),
+                      [](const Tensor& p) { return p.requires_grad(); });
 }
 
 Tensor StTokenizer::DynamicWindowFeatures(int slice) const {
@@ -139,15 +153,19 @@ Tensor StTokenizer::DynamicWindowFeatures(int slice) const {
 
 Tensor StTokenizer::SpatialRepresentations(int slice) {
   if (traffic_ == nullptr || dynamic_encoder_ == nullptr) slice = 0;
+  const bool graph = nn::GradEnabled() && !SpatialPathFrozen();
+  if (graph != library_has_graph_) {
+    BeginStep();
+    library_has_graph_ = graph;
+  }
   if (auto it = slice_cache_.find(slice); it != slice_cache_.end()) {
     return it->second;
   }
-  // In no-grad (serving) mode the caches persist across requests — and
-  // thus across per-request plan scopes — so the whole fill is pinned to
-  // the heap. In training mode the caches stay arena-backed: the trainer
-  // clears them (BeginStep) before every step's arena rewind.
+  // A graph fill stays in the step arena; EndStep() drops it before the
+  // arena rewinds. A graph-free fill outlives the step or request, so it
+  // is pinned to the heap.
   std::optional<nn::ArenaPin> pin;
-  if (!nn::GradEnabled()) pin.emplace();
+  if (!graph) pin.emplace();
   const int num_segments = network_->num_segments();
 
   // Serving: consult the cross-worker shared cache before paying for the

@@ -68,9 +68,20 @@ class SpatialRepCache {
 ///   4. Temporal integration: MLP over (spatial rep || time features ||
 ///      delta-tau) producing the ST token.
 ///
-/// Spatial representations are cached per time slice within one training
-/// step ("ST feature library"); call BeginStep() whenever parameters have
-/// changed so the cache (and its autograd graph) is rebuilt.
+/// Spatial representations are cached per time slice in the "ST feature
+/// library", which lives as long as the weights it was computed from:
+///   * A fill needs an autograd graph when grad is enabled and some
+///     parameter of the spatial path (static, dynamic and fusion encoders,
+///     null placeholders) requires grad. Its entries stay in the step
+///     arena and are dropped by EndStep().
+///   * Any other fill is graph-free and pinned to the heap whole. Its
+///     entries survive EndStep() while the spatial path stays frozen
+///     (stage-2 prompt tuning, transfer fine-tuning), so every slice is
+///     computed once.
+///   * The library holds one kind at a time: a fill that needs a graph
+///     never reads a graph-free entry, and vice versa.
+///   * Weight loads do not reach the library: call BeginStep() after
+///     loading or copying the tokenizer's weights.
 class StTokenizer : public nn::Module {
  public:
   /// `poi` is optional (the future-work POI extension): when given, its
@@ -80,9 +91,15 @@ class StTokenizer : public nn::Module {
               const BigCityConfig& config, util::Rng* rng,
               const roadnet::PoiLayer* poi = nullptr);
 
-  /// Clears the per-slice feature cache. Must be called after every
-  /// optimizer step (and before evaluation batches that follow training).
+  /// Drops the whole library. Call after loading or copying weights, and
+  /// wherever a cold library is wanted (each evaluation pass).
   void BeginStep();
+
+  /// Must be called at the end of every optimizer step, before changing
+  /// which parameters train. Keeps a graph-free library while the spatial
+  /// path is frozen (the step cannot have moved its weights) and drops
+  /// anything else.
+  void EndStep();
 
   /// Tokenizes a full ST-unit sequence -> [L, d_model].
   nn::Tensor Tokenize(const data::StUnitSequence& sequence);
@@ -100,7 +117,7 @@ class StTokenizer : public nn::Module {
   /// Attaches a serving-time shared representation cache (not owned).
   /// `version` tags every entry this tokenizer reads or writes; pass the
   /// replica's model version so hot-swapped weights never alias. Only
-  /// consulted in no-grad mode — training always recomputes.
+  /// consulted in no-grad mode; training fills never touch it.
   void SetSharedRepCache(SpatialRepCache* cache, uint64_t version) {
     shared_reps_ = cache;
     shared_version_ = version;
@@ -120,6 +137,8 @@ class StTokenizer : public nn::Module {
  private:
   /// Builds the [I, T' * C] windowed dynamic feature matrix for slice t.
   nn::Tensor DynamicWindowFeatures(int slice) const;
+  /// True when no spatial-path parameter requires grad.
+  bool SpatialPathFrozen() const;
 
   const roadnet::RoadNetwork* network_;
   const data::TrafficStateSeries* traffic_;
@@ -137,9 +156,14 @@ class StTokenizer : public nn::Module {
   nn::Tensor null_static_;   // [1, spatial_dim]
   nn::Tensor null_dynamic_;  // [1, spatial_dim]
 
-  // Per-step caches.
+  // Everything but the temporal MLP: what the library is computed from.
+  std::vector<nn::Tensor> spatial_parameters_;
+
+  // The ST feature library; `library_has_graph_` names the kind of every
+  // entry it holds.
   nn::Tensor cached_static_;                       // [I, spatial_dim]
   std::unordered_map<int, nn::Tensor> slice_cache_;  // slice -> [I, 2*Dh]
+  bool library_has_graph_ = false;
 
   // Serving-time shared cache (not owned; null outside the server).
   SpatialRepCache* shared_reps_ = nullptr;

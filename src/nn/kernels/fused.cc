@@ -228,15 +228,13 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
     for (int64_t j = limit; j < d; ++j) out_row[j] = 0.0f;
   }
   auto si = scores.impl();
-  auto y = out;  // Copy kept for the backward pass.
   return MakeOpResult(
       scores.shape(), std::move(out), {si},
-      [si, n, d, scale, causal, row_offset, y = std::move(y)](
-          TensorImpl& self) {
+      [si, n, d, scale, causal, row_offset](TensorImpl& self) {
         if (!si->needs_grad) return;
         si->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
-          const float* yr = y.data() + i * d;
+          const float* yr = self.data.data() + i * d;
           const float* gr = self.grad.data() + i * d;
           const int64_t limit = causal ? row_offset + i + 1 : d;
           float dot = 0.0f;

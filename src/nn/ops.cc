@@ -98,14 +98,14 @@ Tensor UnaryOp(const char* name, const Tensor& a, UnaryFwd fwd,
   FloatVec out(ad.size());
   for (size_t i = 0; i < ad.size(); ++i) out[i] = fwd(ad[i]);
   auto ai = a.impl();
-  auto out_copy = out;  // Captured for derivative-in-terms-of-output.
+  // The derivative reads the output from the node itself (self.data):
+  // op outputs are never written in place, so no copy is kept.
   return MakeOpResult(
-      a.shape(), std::move(out), {ai},
-      [ai, bwd, out_copy = std::move(out_copy)](TensorImpl& self) {
+      a.shape(), std::move(out), {ai}, [ai, bwd](TensorImpl& self) {
         if (!ai->needs_grad) return;
         ai->EnsureGrad();
         for (size_t i = 0; i < self.grad.size(); ++i) {
-          ai->grad[i] += self.grad[i] * bwd(ai->data[i], out_copy[i]);
+          ai->grad[i] += self.grad[i] * bwd(ai->data[i], self.data[i]);
         }
       });
 }
@@ -435,14 +435,12 @@ Tensor Softmax(const Tensor& a) {
     for (int64_t j = 0; j < d; ++j) out_row[j] *= inv;
   }
   auto ai = a.impl();
-  auto y = out;  // Copy for backward.
   return MakeOpResult(
-      a.shape(), std::move(out), {ai},
-      [ai, n, d, y = std::move(y)](TensorImpl& self) {
+      a.shape(), std::move(out), {ai}, [ai, n, d](TensorImpl& self) {
         if (!ai->needs_grad) return;
         ai->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
-          const float* yr = y.data() + i * d;
+          const float* yr = self.data.data() + i * d;
           const float* gr = self.grad.data() + i * d;
           float dot = 0.0f;
           for (int64_t j = 0; j < d; ++j) dot += yr[j] * gr[j];
@@ -471,14 +469,12 @@ Tensor LogSoftmax(const Tensor& a) {
     for (int64_t j = 0; j < d; ++j) out_row[j] = row[j] - lse;
   }
   auto ai = a.impl();
-  auto y = out;
   return MakeOpResult(
-      a.shape(), std::move(out), {ai},
-      [ai, n, d, y = std::move(y)](TensorImpl& self) {
+      a.shape(), std::move(out), {ai}, [ai, n, d](TensorImpl& self) {
         if (!ai->needs_grad) return;
         ai->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
-          const float* yr = y.data() + i * d;
+          const float* yr = self.data.data() + i * d;
           const float* gr = self.grad.data() + i * d;
           float gsum = 0.0f;
           for (int64_t j = 0; j < d; ++j) gsum += gr[j];
@@ -774,12 +770,12 @@ Tensor SegmentSoftmax(const Tensor& scores, const std::vector<int>& segment_ids,
   }
   for (size_t i = 0; i < e; ++i) out[i] /= seg_sum[segment_ids[i]];
   auto si = scores.impl();
-  auto y = out;
   return MakeOpResult(
       scores.shape(), std::move(out), {si},
-      [si, segment_ids, num_segments, y = std::move(y)](TensorImpl& self) {
+      [si, segment_ids, num_segments](TensorImpl& self) {
         if (!si->needs_grad) return;
         si->EnsureGrad();
+        const FloatVec& y = self.data;
         FloatVec seg_dot(static_cast<size_t>(num_segments), 0.0f);
         for (size_t i = 0; i < y.size(); ++i) {
           seg_dot[segment_ids[i]] += y[i] * self.grad[i];

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "obs/profiler.h"
 #include "util/check.h"
 #include "util/io.h"
 
@@ -20,10 +21,12 @@ Optimizer::Optimizer(std::vector<Tensor> parameters)
 }
 
 void Optimizer::ZeroGrad() {
+  BIGCITY_PROFILE_OP("ZeroGrad");
   for (auto& p : parameters_) p.ZeroGrad();
 }
 
 float Optimizer::ClipGradNorm(float max_norm) {
+  BIGCITY_PROFILE_OP("ClipGradNorm");
   double total = 0.0;
   for (auto& p : parameters_) {
     if (!p.requires_grad()) continue;
@@ -46,6 +49,7 @@ Sgd::Sgd(std::vector<Tensor> parameters, float lr, float momentum)
 }
 
 void Sgd::Step() {
+  BIGCITY_PROFILE_OP("SgdStep");
   for (size_t pi = 0; pi < parameters_.size(); ++pi) {
     Tensor& p = parameters_[pi];
     if (!p.requires_grad()) continue;
@@ -72,6 +76,7 @@ Adam::Adam(std::vector<Tensor> parameters, float lr, float beta1, float beta2,
 }
 
 void Adam::Step() {
+  BIGCITY_PROFILE_OP("AdamStep");
   ++t_;
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));

@@ -37,6 +37,14 @@ ExecutionPlan* PlanCache::Acquire(const PlanKey& key) {
   return entries_.back().plan.get();
 }
 
+uint64_t PlanCache::poisoned_resets() const {
+  uint64_t total = 0;
+  for (const Entry& entry : entries_) {
+    total += entry.plan->arena.poisoned_resets();
+  }
+  return total;
+}
+
 PlanScope::PlanScope(PlanCache* cache, PlanKey key) {
   if (cache == nullptr) return;
   plan_ = cache->Acquire(key);

@@ -58,6 +58,9 @@ class PlanCache {
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }
+  /// Poisoned resets (TensorArena::poisoned_resets) summed over the plans
+  /// the cache holds: steps that ended with live arena tensors.
+  uint64_t poisoned_resets() const;
 
  private:
   struct Entry {

@@ -200,27 +200,31 @@ void Tensor::Backward() {
       << "Backward() must start from a scalar loss";
 
   // Iterative post-order DFS producing a topological order (parents before
-  // children in `topo`, so we execute in reverse).
+  // children in `topo`, so we execute in reverse). The walk is profiled as
+  // its own op; the backward ops below open their own scopes.
   std::vector<TensorImpl*> topo;
-  std::unordered_set<TensorImpl*> visited;
-  struct Frame {
-    TensorImpl* node;
-    size_t next_parent;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({impl_.get(), 0});
-  visited.insert(impl_.get());
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_parent < frame.node->parents.size()) {
-      TensorImpl* parent = frame.node->parents[frame.next_parent].get();
-      ++frame.next_parent;
-      if (parent->needs_grad && visited.insert(parent).second) {
-        stack.push_back({parent, 0});
+  {
+    BIGCITY_PROFILE_OP("BackwardGraphWalk");
+    std::unordered_set<TensorImpl*> visited;
+    struct Frame {
+      TensorImpl* node;
+      size_t next_parent;
+    };
+    std::vector<Frame> stack;
+    stack.push_back({impl_.get(), 0});
+    visited.insert(impl_.get());
+    while (!stack.empty()) {
+      Frame& frame = stack.back();
+      if (frame.next_parent < frame.node->parents.size()) {
+        TensorImpl* parent = frame.node->parents[frame.next_parent].get();
+        ++frame.next_parent;
+        if (parent->needs_grad && visited.insert(parent).second) {
+          stack.push_back({parent, 0});
+        }
+      } else {
+        topo.push_back(frame.node);
+        stack.pop_back();
       }
-    } else {
-      topo.push_back(frame.node);
-      stack.pop_back();
     }
   }
 

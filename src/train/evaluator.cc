@@ -40,6 +40,16 @@ Trajectory EveryOther(const Trajectory& trip, int parity) {
   return result;
 }
 
+/// One evaluation pass: no autograd graphs, and a tokenizer library
+/// rebuilt from the current weights once, then shared by every sample.
+class EvalPass {
+ public:
+  explicit EvalPass(core::BigCityModel* model) { model->BeginStep(); }
+
+ private:
+  nn::NoGradGuard no_grad_;
+};
+
 }  // namespace
 
 Evaluator::Evaluator(core::BigCityModel* model, EvalConfig config)
@@ -58,9 +68,9 @@ std::vector<Trajectory> Evaluator::TestTrips(int min_len) {
 }
 
 RegressionMetrics Evaluator::EvaluateTravelTime() {
+  EvalPass pass(model_);
   std::vector<double> predictions, targets;
   for (const auto& trip : TestTrips(4)) {
-    model_->BeginStep();
     Tensor deltas = model_->TravelTimeDeltas(trip);
     // Whole-trip ETA in minutes: sum of predicted per-hop intervals
     // (MLP_t outputs are in minutes).
@@ -79,10 +89,10 @@ RegressionMetrics Evaluator::EvaluateTravelTime() {
 }
 
 RankingMetrics Evaluator::EvaluateNextHop() {
+  EvalPass pass(model_);
   std::vector<std::vector<int>> ranked;
   std::vector<int> targets;
   for (const auto& trip : TestTrips(4)) {
-    model_->BeginStep();
     Trajectory prefix = trip;
     const int target = prefix.points.back().segment;
     prefix.points.pop_back();
@@ -100,11 +110,11 @@ RankingMetrics Evaluator::EvaluateNextHop() {
 }
 
 BinaryClassMetrics Evaluator::EvaluateBinaryClassification() {
+  EvalPass pass(model_);
   BIGCITY_CHECK(!model_->classifies_users());
   std::vector<int> predictions, targets;
   std::vector<double> scores;
   for (const auto& trip : TestTrips(4)) {
-    model_->BeginStep();
     Tensor logits = model_->ClassifyLogits(trip);
     Tensor probs = nn::Softmax(logits);
     predictions.push_back(probs.at(0, 1) > probs.at(0, 0) ? 1 : 0);
@@ -119,10 +129,10 @@ BinaryClassMetrics Evaluator::EvaluateBinaryClassification() {
 }
 
 MultiClassMetrics Evaluator::EvaluateUserClassification() {
+  EvalPass pass(model_);
   BIGCITY_CHECK(model_->classifies_users());
   std::vector<int> predictions, targets;
   for (const auto& trip : TestTrips(4)) {
-    model_->BeginStep();
     Tensor logits = model_->ClassifyLogits(trip);
     predictions.push_back(nn::ArgmaxRows(logits)[0]);
     targets.push_back(trip.user_id);
@@ -136,6 +146,7 @@ MultiClassMetrics Evaluator::EvaluateUserClassification() {
 }
 
 SimilarityMetrics Evaluator::EvaluateSimilarity() {
+  EvalPass pass(model_);
   // Standard odd/even protocol: query = even points, ground truth = the odd
   // half of the SAME trip among all odd halves.
   std::vector<Trajectory> queries, database;
@@ -151,14 +162,12 @@ SimilarityMetrics Evaluator::EvaluateSimilarity() {
 
   std::vector<Tensor> db_embeddings;
   for (const auto& entry : database) {
-    model_->BeginStep();
-    db_embeddings.push_back(model_->Embed(entry).Detached());
+    db_embeddings.push_back(model_->Embed(entry));
   }
   std::vector<std::vector<int>> ranked;
   std::vector<int> targets;
   for (size_t q = 0; q < queries.size(); ++q) {
-    model_->BeginStep();
-    Tensor query_embedding = model_->Embed(queries[q]).Detached();
+    Tensor query_embedding = model_->Embed(queries[q]);
     std::vector<std::pair<double, int>> scored;
     for (size_t d = 0; d < db_embeddings.size(); ++d) {
       scored.emplace_back(Cosine(query_embedding, db_embeddings[d]),
@@ -179,9 +188,9 @@ SimilarityMetrics Evaluator::EvaluateSimilarity() {
 }
 
 RecoveryMetrics Evaluator::EvaluateRecovery(double mask_ratio) {
+  EvalPass pass(model_);
   std::vector<int> predictions, targets;
   for (const auto& trip : TestTrips(8)) {
-    model_->BeginStep();
     auto kept = data::DownsampleKeepIndices(trip.length(), mask_ratio, &rng_);
     auto dropped = data::ComplementIndices(trip.length(), kept);
     if (dropped.empty()) continue;
@@ -202,6 +211,7 @@ RecoveryMetrics Evaluator::EvaluateRecovery(double mask_ratio) {
 }
 
 RegressionMetrics Evaluator::EvaluateTrafficPrediction(int horizon) {
+  EvalPass pass(model_);
   const auto* dataset = model_->dataset();
   BIGCITY_CHECK(dataset->config().has_dynamic_features);
   const int window = model_->config().traffic_input_steps;
@@ -214,7 +224,6 @@ RegressionMetrics Evaluator::EvaluateTrafficPrediction(int horizon) {
         dataset->num_slices() / 2,
         std::max(dataset->num_slices() / 2,
                  dataset->num_slices() - window - horizon - 1));
-    model_->BeginStep();
     Tensor predicted = model_->PredictTraffic(segment, start, horizon);
     for (int h = 0; h < horizon; ++h) {
       // Speed channel, de-normalized to m/s.
@@ -233,6 +242,7 @@ RegressionMetrics Evaluator::EvaluateTrafficPrediction(int horizon) {
 }
 
 RegressionMetrics Evaluator::EvaluateTrafficImputation(double mask_ratio) {
+  EvalPass pass(model_);
   const auto* dataset = model_->dataset();
   BIGCITY_CHECK(dataset->config().has_dynamic_features);
   const int window = model_->config().traffic_input_steps;
@@ -244,7 +254,6 @@ RegressionMetrics Evaluator::EvaluateTrafficImputation(double mask_ratio) {
         0, std::max(0, dataset->num_slices() - window - 1));
     const int k = std::max(1, static_cast<int>(window * mask_ratio));
     auto masked = data::RandomMaskIndices(window, k, &rng_);
-    model_->BeginStep();
     Tensor imputed = model_->ImputeTraffic(segment, start, window, masked);
     for (size_t m = 0; m < masked.size(); ++m) {
       predictions.push_back(imputed.at(static_cast<int64_t>(m), 0) *

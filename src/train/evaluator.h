@@ -43,7 +43,8 @@ struct EvalConfig {
 };
 
 /// Runs the eight ST tasks against a trained BIGCity model on a dataset's
-/// test split. Every method calls model->BeginStep() internally.
+/// test split. Each method is one pass under a NoGradGuard that drops the
+/// tokenizer library once (model->BeginStep()) before its first sample.
 class Evaluator {
  public:
   Evaluator(core::BigCityModel* model, EvalConfig config = {});

@@ -305,14 +305,15 @@ void Trainer::ReportNonFinite(const char* kind, const Tensor& batch_loss) {
 
 // --- Guarded stepping + snapshots ------------------------------------------
 
-/// Clears the model's per-step caches (tokenizer representations filled by
-/// the step's forward, which live in the step's arena) when the scope
-/// exits — on every path, including divergence early returns — so no
-/// arena-backed tensor survives the enclosing PlanScope's rewind.
+/// Ends the step for the model's tokenizer library when the scope exits —
+/// on every path, including divergence early returns. EndStep() drops the
+/// arena-backed entries the step's forward filled, so none survives the
+/// enclosing PlanScope's rewind, and keeps the heap-held graph-free ones
+/// while the spatial path is frozen.
 class StepCacheRelease {
  public:
   explicit StepCacheRelease(core::BigCityModel* model) : model_(model) {}
-  ~StepCacheRelease() { model_->BeginStep(); }
+  ~StepCacheRelease() { model_->EndStep(); }
   StepCacheRelease(const StepCacheRelease&) = delete;
   StepCacheRelease& operator=(const StepCacheRelease&) = delete;
 
@@ -496,6 +497,8 @@ util::Status Trainer::LoadTrainingState(const std::string& path,
     }
     if (phase >= kPhaseStage2) model_->tokenizer()->SetTrainable(false);
   }
+  // The tokenizer library was computed from the weights about to change.
+  model_->BeginStep();
   if (auto s = model_->LoadState(in); !s.ok()) return s;
 
   int32_t has_optimizer = 0;
@@ -756,7 +759,6 @@ util::Status Trainer::DoStage1() {
       BIGCITY_TRACE_SPAN("step", "train");
       nn::PlanScope plan_scope(&plan_cache_, {"stage1", 0});
       StepCacheRelease cache_release(model_);
-      model_->BeginStep();
       optimizer_->ZeroGrad();
       const size_t end = std::min(
           pool.size(), begin + static_cast<size_t>(config_.batch_size));
@@ -802,7 +804,7 @@ util::Status Trainer::DoStage1() {
         ++batches;
       }
       // Release the loss graph before the arena rewinds (the tokenizer
-      // caches are released by cache_release above).
+      // library is ended by cache_release above).
       batch_loss = nn::Tensor();
     }
     last_stage1_loss_ = batches > 0 ? epoch_loss / batches : 0.0f;
@@ -1015,7 +1017,6 @@ util::Status Trainer::DoStage2() {
       BIGCITY_TRACE_SPAN("step", "train");
       nn::PlanScope plan_scope(&plan_cache_, {"stage2", 0});
       StepCacheRelease cache_release(model_);
-      model_->BeginStep();
       optimizer_->ZeroGrad();
       Tensor batch_loss;
       const size_t end = std::min(
@@ -1044,7 +1045,7 @@ util::Status Trainer::DoStage2() {
         ++batches;
       }
       // Release the loss graph before the arena rewinds (the tokenizer
-      // caches are released by cache_release above).
+      // library is ended by cache_release above).
       batch_loss = nn::Tensor();
     }
     last_stage2_loss_ = batches > 0 ? epoch_loss / batches : 0.0f;

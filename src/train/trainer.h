@@ -135,6 +135,8 @@ class Trainer {
   int rollbacks() const { return rollbacks_; }
   /// Snapshots committed since construction.
   int64_t checkpoint_writes() const { return checkpoint_writes_; }
+  /// The per-stage execution plans (read-only, for arena introspection).
+  const nn::PlanCache& plan_cache() const { return plan_cache_; }
 
   /// One stage-2 prompt-tuning sample (public for the ablation benches).
   struct TaskSample {

@@ -32,7 +32,6 @@ void FineTuneTransferred(core::BigCityModel* target, TrainConfig config) {
     int batches = 0;
     for (size_t begin = 0; begin < samples.size();
          begin += static_cast<size_t>(config.batch_size)) {
-      target->BeginStep();
       optimizer.ZeroGrad();
       nn::Tensor batch_loss;
       const size_t end = std::min(
@@ -48,6 +47,8 @@ void FineTuneTransferred(core::BigCityModel* target, TrainConfig config) {
       batch_loss.Backward();
       optimizer.ClipGradNorm(config.clip_norm);
       optimizer.Step();
+      // TransferBackbone froze the spatial path: the library is kept.
+      target->EndStep();
     }
     if (config.verbose) {
       BIGCITY_LOG(Info) << "transfer fine-tune epoch " << epoch << " loss "

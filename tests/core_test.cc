@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/bigcity_model.h"
 #include "core/st_tokenizer.h"
 #include "core/task.h"
 #include "core/text_tokenizer.h"
 #include "data/dataset.h"
 #include "data/masking.h"
+#include "nn/arena.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
 
@@ -36,6 +39,12 @@ class CoreTest : public ::testing::Test {
     dataset_ = nullptr;
   }
   void SetUp() override { model_->BeginStep(); }
+  // Tests that freeze the shared tokenizer may stop at a failed ASSERT;
+  // later tests must still see it trainable and with an empty library.
+  void TearDown() override {
+    model_->tokenizer()->SetTrainable(true);
+    model_->BeginStep();
+  }
 
   const data::Trajectory& AnyTrajectory(int min_len = 5) {
     for (const auto& t : dataset_->train()) {
@@ -107,6 +116,89 @@ TEST_F(CoreTest, SpatialRepresentationCacheIsPerSlice) {
   model_->tokenizer()->BeginStep();
   nn::Tensor r0_new = model_->tokenizer()->SpatialRepresentations(0);
   EXPECT_NE(r0.impl().get(), r0_new.impl().get());
+}
+
+// --- ST feature library lifetime (StTokenizer class comment) ---------------
+
+bool GraphFree(const nn::Tensor& tensor) {
+  return tensor.impl()->parents.empty() && !tensor.impl()->backward_fn &&
+         !tensor.impl()->needs_grad;
+}
+
+TEST_F(CoreTest, FrozenLibraryIsHeapHeldGraphFreeAndMatchesFreshFills) {
+  StTokenizer* tokenizer = model_->tokenizer();
+  const int num_slices = dataset_->traffic().num_slices();
+  // Reference: a fresh graph fill per slice, as a trainable tokenizer
+  // computes it after BeginStep().
+  std::vector<std::vector<float>> fresh;
+  for (int s = 0; s < num_slices; ++s) {
+    model_->BeginStep();
+    nn::Tensor rep = tokenizer->SpatialRepresentations(s);
+    ASSERT_FALSE(GraphFree(rep));
+    fresh.emplace_back(rep.data().begin(), rep.data().end());
+  }
+
+  tokenizer->SetTrainable(false);
+  model_->BeginStep();
+  nn::TensorArena arena;  // Declared first: outlives the entries below.
+  std::vector<nn::Tensor> kept;
+  {
+    // A training step's arena: what the library keeps across the step
+    // must be on the heap.
+    nn::ArenaScope step(&arena);
+    for (int s = 0; s < num_slices; ++s) {
+      kept.push_back(tokenizer->SpatialRepresentations(s));
+    }
+    model_->EndStep();
+  }
+  EXPECT_EQ(arena.outstanding(), 0) << "a kept entry lives in the arena";
+  for (int s = 0; s < num_slices; ++s) {
+    EXPECT_TRUE(GraphFree(kept[s])) << "slice " << s;
+    nn::Tensor again = tokenizer->SpatialRepresentations(s);
+    EXPECT_EQ(again.impl(), kept[s].impl()) << "slice " << s << " refilled";
+    ASSERT_EQ(again.data().size(), fresh[s].size());
+    EXPECT_EQ(0, std::memcmp(again.data().data(), fresh[s].data(),
+                             fresh[s].size() * sizeof(float)))
+        << "slice " << s;
+  }
+  // Trainable again: the step may have moved the weights, so EndStep()
+  // drops even a graph-free library (read back here without a graph).
+  tokenizer->SetTrainable(true);
+  model_->EndStep();
+  {
+    nn::NoGradGuard no_grad;
+    EXPECT_NE(tokenizer->SpatialRepresentations(0).impl(), kept[0].impl());
+  }
+}
+
+TEST_F(CoreTest, UnfrozenForwardRebuildsLibraryWithGradients) {
+  StTokenizer* tokenizer = model_->tokenizer();
+  data::Trajectory prefix = AnyTrajectory(6);
+  const int target = prefix.points.back().segment;
+  prefix.points.pop_back();
+  const int slice =
+      dataset_->traffic().SliceOf(prefix.points.front().timestamp);
+
+  tokenizer->SetTrainable(false);
+  nn::Tensor frozen = tokenizer->SpatialRepresentations(slice);
+  model_->EndStep();
+  ASSERT_EQ(tokenizer->SpatialRepresentations(slice).impl(), frozen.impl());
+
+  tokenizer->SetTrainable(true);
+  nn::Tensor query;
+  for (const auto& [name, parameter] : tokenizer->NamedParameters()) {
+    if (name == "fusion.query") query = parameter;
+  }
+  ASSERT_TRUE(query.is_valid());
+  query.ZeroGrad();
+  nn::CrossEntropy(model_->NextHopLogits(prefix), {target}).Backward();
+  nn::Tensor rebuilt = tokenizer->SpatialRepresentations(slice);
+  EXPECT_NE(rebuilt.impl(), frozen.impl());
+  EXPECT_FALSE(GraphFree(rebuilt));
+  float grad_norm = 0;
+  for (float g : query.grad()) grad_norm += g * g;
+  EXPECT_GT(grad_norm, 0.0f);
+  for (auto& parameter : model_->Parameters()) parameter.ZeroGrad();
 }
 
 TEST_F(CoreTest, HiddenTimesZeroTimeFeatures) {

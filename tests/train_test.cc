@@ -2,15 +2,20 @@
 // followed by evaluation of all eight tasks and the transfer protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
 #include "core/bigcity_model.h"
+#include "obs/profiler.h"
 #include "train/evaluator.h"
+#include "train/metrics.h"
 #include "train/trainer.h"
 #include "train/transfer.h"
 #include "util/fault_injection.h"
@@ -142,6 +147,31 @@ TEST_F(TrainPipelineTest, TrafficTasksProduceSaneErrors) {
   EXPECT_LT(multi.mae, 8.0);
   EXPECT_LT(imputed.mae, 8.0);
   EXPECT_GT(one.mae, 0.0);
+}
+
+TEST_F(TrainPipelineTest, EvaluationPassMatchesPerSampleReference) {
+  // Reference: the per-sample protocol, in grad mode with the tokenizer
+  // library dropped before every sample.
+  const EvalConfig config;
+  std::vector<double> predictions, targets;
+  for (const auto& trip : dataset_->test()) {
+    if (trip.length() < 4) continue;
+    const data::Trajectory clipped = model_->ClipTrajectory(trip);
+    model_->BeginStep();
+    nn::Tensor deltas = model_->TravelTimeDeltas(clipped);
+    double minutes = 0;
+    for (int64_t l = 0; l < deltas.shape()[0]; ++l) {
+      minutes += std::max(0.0f, deltas.at(l, 0));
+    }
+    predictions.push_back(minutes);
+    targets.push_back(clipped.duration_seconds() / 60.0);
+    if (static_cast<int>(predictions.size()) >= config.max_samples) break;
+  }
+  Evaluator evaluator(model_, config);
+  const RegressionMetrics metrics = evaluator.EvaluateTravelTime();
+  EXPECT_EQ(metrics.mae, MeanAbsoluteError(predictions, targets));
+  EXPECT_EQ(metrics.rmse, RootMeanSquaredError(predictions, targets));
+  EXPECT_EQ(metrics.mape, MeanAbsolutePercentageError(predictions, targets));
 }
 
 TEST_F(TrainPipelineTest, TransferKeepsBackboneFrozen) {
@@ -370,6 +400,100 @@ TEST(ResilienceTest, TornCheckpointWriteSurfacesErrorAndKeepsOldSnapshot) {
   Trainer resumed_trainer(&resumed, ResilienceConfig(dir));
   ASSERT_TRUE(resumed_trainer.ResumeFrom(snapshot).ok());
   ASSERT_TRUE(resumed_trainer.RunAll().ok());
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// ST feature library lifetime across optimizer steps (StTokenizer).
+
+#if BIGCITY_OBS
+/// Forward op calls per module, submodules included, while `body` runs
+/// under the op profiler.
+template <typename Body>
+std::map<std::string, uint64_t> ForwardCallsByModule(Body body) {
+  auto& profiler = obs::Profiler::Global();
+  profiler.Reset();
+  obs::SetProfilerEnabled(true);
+  body();
+  obs::SetProfilerEnabled(false);
+  std::map<std::string, uint64_t> calls;
+  for (const auto& row : profiler.Rows()) {
+    if (row.backward) continue;
+    for (std::string path = row.module;;) {
+      calls[path] += row.calls;
+      const auto dot = path.rfind('.');
+      if (dot == std::string::npos) break;
+      path.resize(dot);
+    }
+  }
+  profiler.Reset();
+  return calls;
+}
+#endif
+
+TEST(LibraryLifetimeTest, Stage2FillsEachSliceOnceWithCleanArenas) {
+#if !BIGCITY_OBS
+  GTEST_SKIP() << "encoder forwards are counted by the op profiler";
+#else
+  data::CityDataset dataset(TinyCity("XA-library", 431));
+  core::BigCityModel model(&dataset, TinyModelConfig());
+  Trainer trainer(&model, ResilienceConfig());  // Plans on.
+  ASSERT_TRUE(trainer.PretrainBackbone().ok());
+  ASSERT_TRUE(trainer.RunStage1().ok());
+  util::Status status;
+  const auto stage2 =
+      ForwardCallsByModule([&] { status = trainer.RunStage2(); });
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(trainer.plan_cache().poisoned_resets(), 0u);
+
+  // Op calls of one cold fill: one static, dynamic and fusion forward each.
+  const auto cold = ForwardCallsByModule([&] {
+    model.BeginStep();
+    model.tokenizer()->SpatialRepresentations(0);
+  });
+  const uint64_t static_calls = cold.at("tokenizer.static_encoder");
+  const uint64_t fusion_calls = cold.at("tokenizer.fusion");
+  ASSERT_GT(static_calls, 0u);
+  ASSERT_GT(fusion_calls, 0u);
+  // The static encoder ran once: stage 2 never dropped its library, so no
+  // slice was filled twice.
+  EXPECT_EQ(stage2.at("tokenizer.static_encoder"), static_calls);
+  const uint64_t fusion_forwards =
+      stage2.at("tokenizer.fusion") / fusion_calls;
+  EXPECT_GT(fusion_forwards, 0u);
+  EXPECT_LE(fusion_forwards, static_cast<uint64_t>(dataset.num_slices()));
+#endif
+}
+
+TEST(LibraryLifetimeTest, LoadingTrainingStateRebuildsLibrary) {
+  const std::string dir = ResilienceDir("bigcity_library_load_test");
+  std::filesystem::remove_all(dir);
+  data::CityDataset dataset(TinyCity("XA-library-load", 432));
+  TrainConfig config = ResilienceConfig(dir);
+  config.stage2_epochs = 0;
+  // The snapshot holds stage-1-trained tokenizer weights.
+  core::BigCityModel source(&dataset, TinyModelConfig());
+  Trainer source_trainer(&source, config);
+  ASSERT_TRUE(source_trainer.RunAll().ok());
+  source.BeginStep();
+  const nn::Tensor expected = source.tokenizer()->SpatialRepresentations(0);
+
+  // A model at its initial weights keeps a frozen library across a step.
+  core::BigCityModel target(&dataset, TinyModelConfig());
+  target.tokenizer()->SetTrainable(false);
+  const nn::Tensor stale = target.tokenizer()->SpatialRepresentations(0);
+  target.EndStep();
+  ASSERT_EQ(target.tokenizer()->SpatialRepresentations(0).impl(),
+            stale.impl());
+  ASSERT_NE(stale.data(), expected.data());
+
+  Trainer target_trainer(&target, config);
+  ASSERT_TRUE(target_trainer.ResumeFrom(dir + "/train_state.ckpt").ok());
+  const nn::Tensor reloaded = target.tokenizer()->SpatialRepresentations(0);
+  EXPECT_NE(reloaded.impl(), stale.impl());
+  ASSERT_EQ(reloaded.data().size(), expected.data().size());
+  EXPECT_EQ(0, std::memcmp(reloaded.data().data(), expected.data().data(),
+                           expected.data().size() * sizeof(float)));
   std::filesystem::remove_all(dir);
 }
 
