@@ -19,7 +19,11 @@
 #            self-healing (stall/leak) invariants and report JSON, and
 #            the benchmark's own tests (perfbench/tests: smoke runs of
 #            every workload, traced and untraced, with all correctness
-#            gates). Artifact JSON checks live in ci/validate_artifacts.py.
+#            gates), and kernels_check in a -DBIGCITY_NATIVE_ARCH=ON build:
+#            under -march=native the compiler could contract a scalar tail's
+#            multiply-add into an FMA, and the transcendental loops'
+#            same-bits-in-every-lane contract must hold there too. Artifact
+#            JSON checks live in ci/validate_artifacts.py.
 #   sanitize Debug build with ASan+UBSan running the resilience_check,
 #            kernels_check, and serve_check suites (the latter includes the
 #            watchdog/overload tests) plus a short --threads 2 CLI smoke
@@ -171,6 +175,10 @@ run_release() {
   rollout_smoke build-ci-release release 30
   log "release: perfbench tests (smoke runs of every workload, all gates)"
   python3 -m unittest discover -s perfbench/tests
+  log "release: kernel suite under -march=native (no-FMA contract)"
+  cmake -B build-ci-native -S . -DCMAKE_BUILD_TYPE=Release \
+    -DBIGCITY_NATIVE_ARCH=ON
+  cmake --build build-ci-native -j"$PAR" --target kernels_check
 }
 
 run_sanitize() {

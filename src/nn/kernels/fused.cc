@@ -1,6 +1,6 @@
 #include "nn/kernels/fused.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -12,23 +12,10 @@ namespace bigcity::nn {
 
 namespace {
 
-constexpr float kPi = 3.14159265358979323846f;
-
 inline uint64_t U64(int64_t value) { return static_cast<uint64_t>(value); }
 
-/// tanh-approximation GELU (GPT-2), same formula as ops.cc Gelu.
-inline float GeluFwd(float x) {
-  const float c = std::sqrt(2.0f / kPi);
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-}
-
-inline float GeluGrad(float x) {
-  const float c = std::sqrt(2.0f / kPi);
-  const float u = c * (x + 0.044715f * x * x * x);
-  const float t = std::tanh(u);
-  const float du = c * (1.0f + 3.0f * 0.044715f * x * x);
-  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-}
+/// Stack scratch (in floats) for backward passes that recompute an input.
+constexpr int64_t kChunk = 256;
 
 inline float LeakyFwd(float x, float slope) { return x > 0.0f ? x : slope * x; }
 inline float LeakyGrad(float x, float slope) { return x > 0.0f ? 1.0f : slope; }
@@ -138,37 +125,58 @@ Tensor BiasActImpl(const char* name, const Tensor& x, const Tensor& b,
   BIGCITY_PROFILE_OP(name);
   BIGCITY_PROFILE_OP_COST(U64(8 * x.numel()), U64(3 * x.numel()) * 4);
   BIGCITY_PROFILE_OP_BWD_COST(U64(10 * x.numel()), U64(4 * x.numel()) * 4);
-  const AddBroadcast mode = ResolveAddBroadcast(x, b);
-  const int64_t cols = x.shape().size() == 2 ? x.shape()[1] : x.numel();
-  const auto& xd = x.data();
-  const auto& bd = b.data();
-  FloatVec out(xd.size());
+  // A same-shape bias is one long row, so b's index is always the column.
+  const bool same = ResolveAddBroadcast(x, b) == AddBroadcast::kSame;
+  const int64_t rows = same ? 1 : x.shape()[0];
+  const int64_t cols = same ? x.numel() : x.shape()[1];
+  const float* xd = x.data().data();
+  const float* bd = b.data().data();
+  FloatVec out(x.data().size());
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* x_row = xd + r * cols;
+    float* out_row = out.data() + r * cols;
+    for (int64_t j = 0; j < cols; ++j) out_row[j] = x_row[j] + bd[j];
+  }
   const bool gelu = slope < 0.0f;
-  for (size_t i = 0; i < xd.size(); ++i) {
-    const float u =
-        xd[i] + bd[mode == AddBroadcast::kSame
-                       ? i
-                       : i % static_cast<size_t>(cols)];
-    out[i] = gelu ? GeluFwd(u) : LeakyFwd(u, slope);
+  if (gelu) {
+    kernels::GeluForward(out.data(), out.data(), x.numel());
+  } else {
+    for (float& v : out) v = LeakyFwd(v, slope);
   }
   auto xi = x.impl();
   auto bi = b.impl();
   return MakeOpResult(
       x.shape(), std::move(out), {xi, bi},
-      [xi, bi, mode, cols, gelu, slope](TensorImpl& self) {
+      [xi, bi, rows, cols, gelu, slope](TensorImpl& self) {
         if (!xi->needs_grad && !bi->needs_grad) return;
         if (xi->needs_grad) xi->EnsureGrad();
         if (bi->needs_grad) bi->EnsureGrad();
-        for (size_t i = 0; i < self.grad.size(); ++i) {
-          const size_t j = mode == AddBroadcast::kSame
-                               ? i
-                               : i % static_cast<size_t>(cols);
-          // Recompute the pre-activation instead of having stored it.
-          const float u = xi->data[i] + bi->data[j];
-          const float d =
-              self.grad[i] * (gelu ? GeluGrad(u) : LeakyGrad(u, slope));
-          if (xi->needs_grad) xi->grad[i] += d;
-          if (bi->needs_grad) bi->grad[j] += d;
+        // Recompute the pre-activation a chunk at a time instead of having
+        // stored it.
+        float u[kChunk];
+        float d[kChunk];
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t j0 = 0; j0 < cols; j0 += kChunk) {
+            const int64_t len = std::min(kChunk, cols - j0);
+            const int64_t base = r * cols + j0;
+            const float* g = self.grad.data() + base;
+            for (int64_t j = 0; j < len; ++j) {
+              u[j] = xi->data[base + j] + bi->data[j0 + j];
+            }
+            if (gelu) {
+              kernels::GeluBackward(u, g, d, len);
+            } else {
+              for (int64_t j = 0; j < len; ++j) {
+                d[j] = g[j] * LeakyGrad(u[j], slope);
+              }
+            }
+            if (xi->needs_grad) {
+              for (int64_t j = 0; j < len; ++j) xi->grad[base + j] += d[j];
+            }
+            if (bi->needs_grad) {
+              for (int64_t j = 0; j < len; ++j) bi->grad[j0 + j] += d[j];
+            }
+          }
         }
       });
 }
@@ -218,11 +226,10 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
     const int64_t limit = causal ? row_offset + i + 1 : d;
     float mx = scale * row[0];
     for (int64_t j = 1; j < limit; ++j) mx = std::max(mx, scale * row[j]);
+    for (int64_t j = 0; j < limit; ++j) out_row[j] = scale * row[j] - mx;
+    kernels::Exp(out_row, out_row, limit);
     float sum = 0.0f;
-    for (int64_t j = 0; j < limit; ++j) {
-      out_row[j] = std::exp(scale * row[j] - mx);
-      sum += out_row[j];
-    }
+    for (int64_t j = 0; j < limit; ++j) sum += out_row[j];
     const float inv = 1.0f / sum;
     for (int64_t j = 0; j < limit; ++j) out_row[j] *= inv;
     for (int64_t j = limit; j < d; ++j) out_row[j] = 0.0f;

@@ -65,6 +65,42 @@ void GemmABtBlocked(const float* a, const float* b, float* c, int64_t n,
 void GemmAtBBlocked(const float* a, const float* b, float* c, int64_t n,
                     int64_t k, int64_t m, bool accumulate);
 
+// --- Transcendental loops ----------------------------------------------------
+//
+// Elementwise loops over n floats behind every GELU and softmax. The output
+// may alias the input. Each ISA variant is compiled from one scalar source
+// without FMA contraction, so every variant, every vector lane and the
+// scalar tail give the same bits: a value never depends on its position in
+// the buffer (DESIGN.md §4.8). The widest variant the CPU supports is
+// picked once at startup. NaN propagates through all three.
+
+/// y = GELU(x), GPT-2's tanh approximation
+/// 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))). Absolute error <= 2e-6
+/// against the same formula in double on [-20, 20].
+void GeluForward(const float* x, float* y, int64_t n);
+
+/// dx = dy · GELU'(x) (write mode). Absolute error of GELU' <= 1e-5.
+void GeluBackward(const float* x, const float* dy, float* dx, int64_t n);
+
+/// y = exp(x). Relative error <= 2e-7 on [-87, 10]; exp(-inf) = 0,
+/// exp(+inf) = +inf, results below FLT_MIN underflow gradually.
+void Exp(const float* x, float* y, int64_t n);
+
+// --- Fixed-ISA variants (equivalence tests) ---------------------------------
+
+enum class SimdLevel { kBaseline, kAvx2, kAvx512 };
+
+struct TranscendentalLoops {
+  void (*gelu_forward)(const float* x, float* y, int64_t n);
+  void (*gelu_backward)(const float* x, const float* dy, float* dx,
+                        int64_t n);
+  void (*exp)(const float* x, float* y, int64_t n);
+};
+
+/// The loops above built for `level`, or nullptr when this CPU (or this
+/// build's target) cannot run it.
+const TranscendentalLoops* TranscendentalLoopsFor(SimdLevel level);
+
 }  // namespace bigcity::nn::kernels
 
 #endif  // BIGCITY_NN_KERNELS_KERNELS_H_

@@ -19,7 +19,9 @@ namespace {
 // times partition wall time without double counting.
 inline uint64_t U64(int64_t value) { return static_cast<uint64_t>(value); }
 
-constexpr float kPi = 3.14159265358979323846f;
+/// Stack scratch (in floats) for backward passes that need a transformed
+/// copy of a row.
+constexpr int64_t kChunk = 256;
 
 enum class BroadcastMode { kSame, kRowwise, kScalarRhs };
 
@@ -34,53 +36,65 @@ BroadcastMode ResolveBroadcast(const Tensor& a, const Tensor& b) {
   return BroadcastMode::kSame;
 }
 
-/// Index of b's element corresponding to flat index i of a.
-inline size_t BIndex(BroadcastMode mode, size_t i, int64_t cols) {
+/// Calls fn(i, j) for every flat index i of a, in ascending order, with j
+/// the index of b's matching element. Row-wise broadcast walks rows x
+/// columns, so no element pays for a modulo.
+template <typename Fn>
+inline void ForEachBroadcast(BroadcastMode mode, int64_t size, int64_t cols,
+                             Fn&& fn) {
   switch (mode) {
-    case BroadcastMode::kSame: return i;
-    case BroadcastMode::kRowwise: return i % static_cast<size_t>(cols);
-    case BroadcastMode::kScalarRhs: return 0;
+    case BroadcastMode::kSame:
+      for (int64_t i = 0; i < size; ++i) fn(i, i);
+      return;
+    case BroadcastMode::kRowwise:
+      for (int64_t row = 0; row < size; row += cols) {
+        for (int64_t j = 0; j < cols; ++j) fn(row + j, j);
+      }
+      return;
+    case BroadcastMode::kScalarRhs:
+      for (int64_t i = 0; i < size; ++i) fn(i, int64_t{0});
+      return;
   }
-  return 0;
 }
 
-using BinaryFwd = float (*)(float, float);
-using BinaryBwdA = float (*)(float a, float b, float g);
-using BinaryBwdB = float (*)(float a, float b, float g);
-
-Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b,
-                BinaryFwd fwd, BinaryBwdA bwd_a, BinaryBwdB bwd_b) {
+/// The op and its two partial derivatives are template parameters (stateless
+/// lambdas), so every loop inlines them and can vectorize.
+template <typename Fwd, typename BwdA, typename BwdB>
+Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b, Fwd fwd,
+                BwdA bwd_a, BwdB bwd_b) {
   BIGCITY_PROFILE_OP(name);
   const BroadcastMode mode = ResolveBroadcast(a, b);
-  const int64_t cols =
-      a.shape().size() == 2 ? a.shape()[1] : a.numel();
-  const auto& ad = a.data();
-  const auto& bd = b.data();
-  BIGCITY_PROFILE_OP_COST(U64(a.numel()), U64(3 * a.numel()) * 4);
-  BIGCITY_PROFILE_OP_BWD_COST(U64(2 * a.numel()), U64(4 * a.numel()) * 4);
-  FloatVec out(ad.size());
-  for (size_t i = 0; i < ad.size(); ++i) {
-    out[i] = fwd(ad[i], bd[BIndex(mode, i, cols)]);
-  }
+  const int64_t size = a.numel();
+  const int64_t cols = a.shape().size() == 2 ? a.shape()[1] : size;
+  BIGCITY_PROFILE_OP_COST(U64(size), U64(3 * size) * 4);
+  BIGCITY_PROFILE_OP_BWD_COST(U64(2 * size), U64(4 * size) * 4);
+  const float* ad = a.data().data();
+  const float* bd = b.data().data();
+  FloatVec out(static_cast<size_t>(size));
+  float* od = out.data();
+  ForEachBroadcast(mode, size, cols,
+                   [&](int64_t i, int64_t j) { od[i] = fwd(ad[i], bd[j]); });
   auto ai = a.impl();
   auto bi = b.impl();
   return MakeOpResult(
       a.shape(), std::move(out), {ai, bi},
-      [ai, bi, mode, cols, bwd_a, bwd_b](TensorImpl& self) {
-        const auto& g = self.grad;
+      [ai, bi, mode, size, cols, bwd_a, bwd_b](TensorImpl& self) {
+        const float* g = self.grad.data();
+        const float* x = ai->data.data();
+        const float* y = bi->data.data();
         if (ai->needs_grad) {
           ai->EnsureGrad();
-          for (size_t i = 0; i < g.size(); ++i) {
-            ai->grad[i] +=
-                bwd_a(ai->data[i], bi->data[BIndex(mode, i, cols)], g[i]);
-          }
+          float* gx = ai->grad.data();
+          ForEachBroadcast(mode, size, cols, [&](int64_t i, int64_t j) {
+            gx[i] += bwd_a(x[i], y[j], g[i]);
+          });
         }
         if (bi->needs_grad) {
           bi->EnsureGrad();
-          for (size_t i = 0; i < g.size(); ++i) {
-            const size_t j = BIndex(mode, i, cols);
-            bi->grad[j] += bwd_b(ai->data[i], bi->data[j], g[i]);
-          }
+          float* gy = bi->grad.data();
+          ForEachBroadcast(mode, size, cols, [&](int64_t i, int64_t j) {
+            gy[j] += bwd_b(x[i], y[j], g[i]);
+          });
         }
       });
 }
@@ -241,18 +255,24 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  return UnaryOp(
-      "Gelu", a,
-      [](float x) {
-        const float c = std::sqrt(2.0f / kPi);
-        return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-      },
-      [](float x, float) {
-        const float c = std::sqrt(2.0f / kPi);
-        const float u = c * (x + 0.044715f * x * x * x);
-        const float t = std::tanh(u);
-        const float du = c * (1.0f + 3.0f * 0.044715f * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
+  BIGCITY_PROFILE_OP("Gelu");
+  BIGCITY_PROFILE_OP_COST(U64(a.numel()), U64(2 * a.numel()) * 4);
+  BIGCITY_PROFILE_OP_BWD_COST(U64(2 * a.numel()), U64(3 * a.numel()) * 4);
+  FloatVec out(a.data().size());
+  kernels::GeluForward(a.data().data(), out.data(), a.numel());
+  auto ai = a.impl();
+  return MakeOpResult(
+      a.shape(), std::move(out), {ai}, [ai](TensorImpl& self) {
+        if (!ai->needs_grad) return;
+        ai->EnsureGrad();
+        const int64_t size = static_cast<int64_t>(self.grad.size());
+        float d[kChunk];
+        for (int64_t i0 = 0; i0 < size; i0 += kChunk) {
+          const int64_t len = std::min(kChunk, size - i0);
+          kernels::GeluBackward(ai->data.data() + i0, self.grad.data() + i0,
+                                d, len);
+          for (int64_t i = 0; i < len; ++i) ai->grad[i0 + i] += d[i];
+        }
       });
 }
 
@@ -426,11 +446,10 @@ Tensor Softmax(const Tensor& a) {
     float* out_row = out.data() + i * d;
     float mx = row[0];
     for (int64_t j = 1; j < d; ++j) mx = std::max(mx, row[j]);
+    for (int64_t j = 0; j < d; ++j) out_row[j] = row[j] - mx;
+    kernels::Exp(out_row, out_row, d);
     float sum = 0.0f;
-    for (int64_t j = 0; j < d; ++j) {
-      out_row[j] = std::exp(row[j] - mx);
-      sum += out_row[j];
-    }
+    for (int64_t j = 0; j < d; ++j) sum += out_row[j];
     const float inv = 1.0f / sum;
     for (int64_t j = 0; j < d; ++j) out_row[j] *= inv;
   }
@@ -463,8 +482,11 @@ Tensor LogSoftmax(const Tensor& a) {
     float* out_row = out.data() + i * d;
     float mx = row[0];
     for (int64_t j = 1; j < d; ++j) mx = std::max(mx, row[j]);
+    // The output row holds exp(row - mx) until it is overwritten below.
+    for (int64_t j = 0; j < d; ++j) out_row[j] = row[j] - mx;
+    kernels::Exp(out_row, out_row, d);
     float sum = 0.0f;
-    for (int64_t j = 0; j < d; ++j) sum += std::exp(row[j] - mx);
+    for (int64_t j = 0; j < d; ++j) sum += out_row[j];
     const float lse = mx + std::log(sum);
     for (int64_t j = 0; j < d; ++j) out_row[j] = row[j] - lse;
   }
@@ -479,8 +501,13 @@ Tensor LogSoftmax(const Tensor& a) {
           float gsum = 0.0f;
           for (int64_t j = 0; j < d; ++j) gsum += gr[j];
           float* ar = ai->grad.data() + i * d;
-          for (int64_t j = 0; j < d; ++j) {
-            ar[j] += gr[j] - std::exp(yr[j]) * gsum;
+          float e[kChunk];
+          for (int64_t j0 = 0; j0 < d; j0 += kChunk) {
+            const int64_t len = std::min(kChunk, d - j0);
+            kernels::Exp(yr + j0, e, len);
+            for (int64_t j = 0; j < len; ++j) {
+              ar[j0 + j] += gr[j0 + j] - e[j] * gsum;
+            }
           }
         }
       });
@@ -764,10 +791,9 @@ Tensor SegmentSoftmax(const Tensor& scores, const std::vector<int>& segment_ids,
   }
   FloatVec out(e);
   FloatVec seg_sum(static_cast<size_t>(num_segments), 0.0f);
-  for (size_t i = 0; i < e; ++i) {
-    out[i] = std::exp(sd[i] - seg_max[segment_ids[i]]);
-    seg_sum[segment_ids[i]] += out[i];
-  }
+  for (size_t i = 0; i < e; ++i) out[i] = sd[i] - seg_max[segment_ids[i]];
+  kernels::Exp(out.data(), out.data(), static_cast<int64_t>(e));
+  for (size_t i = 0; i < e; ++i) seg_sum[segment_ids[i]] += out[i];
   for (size_t i = 0; i < e; ++i) out[i] /= seg_sum[segment_ids[i]];
   auto si = scores.impl();
   return MakeOpResult(
@@ -877,11 +903,10 @@ Tensor CrossEntropy(const Tensor& logits, const std::vector<int>& targets) {
     float* prow = probs.data() + i * c;
     float mx = row[0];
     for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
+    for (int64_t j = 0; j < c; ++j) prow[j] = row[j] - mx;
+    kernels::Exp(prow, prow, c);
     float sum = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      prow[j] = std::exp(row[j] - mx);
-      sum += prow[j];
-    }
+    for (int64_t j = 0; j < c; ++j) sum += prow[j];
     const float inv = 1.0f / sum;
     for (int64_t j = 0; j < c; ++j) prow[j] *= inv;
     loss -= std::log(

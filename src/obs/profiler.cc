@@ -11,6 +11,30 @@ namespace {
 
 std::atomic<bool> profiler_enabled{false};
 
+/// Source of Profiler generations: unique across every profiler and Reset.
+std::atomic<uint64_t> next_generation{1};
+
+/// One thread's memo of a recently recorded row, keyed by the op and module
+/// pointers, so the repeated case neither builds key strings nor walks the
+/// map. Direct-mapped; a collision only costs the slow path.
+struct RowCacheEntry {
+  uint64_t generation = 0;  // 0 never matches a live profiler.
+  const char* op = nullptr;
+  const char* module = nullptr;
+  bool backward = false;
+  OpStats* row = nullptr;
+};
+constexpr size_t kRowCacheSize = 256;
+thread_local RowCacheEntry row_cache[kRowCacheSize];
+
+size_t RowCacheSlot(const char* op, const char* module, bool backward) {
+  const auto key = reinterpret_cast<uintptr_t>(op) * 31 +
+                   reinterpret_cast<uintptr_t>(module) * 2 +
+                   (backward ? 1 : 0);
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 56) %
+         kRowCacheSize;
+}
+
 thread_local std::vector<internal::OpFrame> op_stack;
 thread_local std::vector<const char*> module_stack;
 
@@ -107,6 +131,8 @@ ScopedModule::ScopedModule(const char* path) { module_stack.push_back(path); }
 
 ScopedModule::~ScopedModule() { module_stack.pop_back(); }
 
+Profiler::Profiler() : generation_(next_generation.fetch_add(1)) {}
+
 Profiler& Profiler::Global() {
   static Profiler* profiler = new Profiler();
   return *profiler;
@@ -116,6 +142,23 @@ void Profiler::RecordOp(const char* op, const char* module, bool backward,
                         uint64_t self_us, uint64_t total_us, uint64_t flops,
                         uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
+  OpStats& row = Row(op, module, backward);
+  ++row.calls;
+  row.self_us += self_us;
+  row.total_us += total_us;
+  row.flops += flops;
+  row.bytes += bytes;
+}
+
+OpStats& Profiler::Row(const char* op, const char* module, bool backward) {
+  RowCacheEntry& cached = row_cache[RowCacheSlot(op, module, backward)];
+  // The string checks catch a pointer reused for a different name (a
+  // module destroyed and another built at the same address).
+  if (cached.generation == generation_ && cached.op == op &&
+      cached.module == module && cached.backward == backward &&
+      cached.row->op == op && cached.row->module == module) {
+    return *cached.row;
+  }
   OpStats& row = rows_[std::make_tuple(std::string(module), std::string(op),
                                        backward)];
   if (row.calls == 0) {
@@ -123,11 +166,8 @@ void Profiler::RecordOp(const char* op, const char* module, bool backward,
     row.op = op;
     row.backward = backward;
   }
-  ++row.calls;
-  row.self_us += self_us;
-  row.total_us += total_us;
-  row.flops += flops;
-  row.bytes += bytes;
+  cached = {generation_, op, module, backward, &row};
+  return row;
 }
 
 std::vector<OpStats> Profiler::Rows() const {
@@ -255,6 +295,7 @@ void Profiler::PrintTable(std::FILE* out, size_t max_rows) const {
 void Profiler::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   rows_.clear();
+  generation_ = next_generation.fetch_add(1);
 }
 
 }  // namespace bigcity::obs

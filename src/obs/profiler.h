@@ -93,6 +93,8 @@ struct ModuleStats {
 /// reached when ProfilerEnabled(), so the disabled path stays lock-free.
 class Profiler {
  public:
+  Profiler();
+
   static Profiler& Global();
 
   void RecordOp(const char* op, const char* module, bool backward,
@@ -115,10 +117,16 @@ class Profiler {
   void Reset();
 
  private:
+  /// The row for (module, op, backward), inserted on first use. Requires mu_.
+  OpStats& Row(const char* op, const char* module, bool backward);
+
   mutable std::mutex mu_;
   // Keyed by (module, op, backward); strings are copied on first insert so
   // rows never dangle on module destruction.
   std::map<std::tuple<std::string, std::string, bool>, OpStats> rows_;
+  // Process-unique tag of rows_' current contents, renewed by Reset(); a
+  // thread's cached row pointers are valid only while it matches.
+  uint64_t generation_;
 };
 
 /// RAII op scope. Always pushes a tag frame under BIGCITY_OBS=ON (cheap:

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/kernels/fused.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
 #include "util/rng.h"
@@ -131,6 +132,23 @@ TEST(GradCheckTest, LayerNormGammaBetaGrads) {
   };
   EXPECT_LT(MaxGradError(gamma, loss), kTolerance);
   EXPECT_LT(MaxGradError(beta, loss), kTolerance);
+}
+
+// The GELU kernel's tanh is clamped where its argument
+// √(2/π)·(x + 0.044715·x³) reaches ±7.9053 (|x| ≈ 4.84), and passes its
+// input through below 4e-4. Check the analytic gradient on both sides of
+// each switch.
+TEST(GradCheckTest, GeluAtTanhClampAndPassThrough) {
+  Tensor x = Tensor::FromData({3, 4},
+                              {4.835f, 4.84f, 4.845f, -4.84f,   //
+                               -4.835f, -4.845f, 1e-4f, -2e-4f,  //
+                               3e-4f, 4.5e-4f, -4.5e-4f, 0.0f},
+                              /*requires_grad=*/true);
+  const Tensor b = Tensor::FromData({4}, {0.0f, 0.0f, 0.0f, 0.0f});
+  auto gelu = [&]() { return Sum(Mul(Gelu(x), Weights34())); };
+  EXPECT_LT(MaxGradError(x, gelu), kTolerance);
+  auto bias_gelu = [&]() { return Sum(Mul(BiasGelu(x, b), Weights34())); };
+  EXPECT_LT(MaxGradError(x, bias_gelu), kTolerance);
 }
 
 TEST(GradCheckTest, EmbeddingGradScattersIntoTable) {

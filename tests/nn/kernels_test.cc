@@ -1,12 +1,15 @@
 // Kernel-layer verification: bit-exact blocked-vs-naive equivalence across
 // edge-tile shapes, thread-count-invariance, IEEE special-value propagation
 // (no zero-skip), write-mode overwrite semantics, the ThreadPool's static
-// partitioning contract, and gradients of every fused op under both
-// backends.
+// partitioning contract, the transcendental loops' error bounds and
+// same-bits-on-every-ISA contract, position invariance of the fused ops,
+// and gradients of every fused op under both backends.
 #include "nn/kernels/kernels.h"
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -301,6 +304,268 @@ TEST_F(KernelsTest, ScaledMaskedSoftmaxMatchesUnfusedClosely) {
   Tensor plain_ref = Softmax(Scale(scores, scale));
   for (size_t i = 0; i < plain.data().size(); ++i) {
     EXPECT_NEAR(plain.data()[i], plain_ref.data()[i], 1e-6f);
+  }
+}
+
+// --- Transcendental loops ----------------------------------------------------
+
+constexpr double kSqrt2OverPi = 0.79788456080286535588;
+
+double GeluReference(double x) {
+  return 0.5 * x * (1.0 + std::tanh(kSqrt2OverPi * (x + 0.044715 * x * x * x)));
+}
+
+double GeluDerivativeReference(double x) {
+  const double t = std::tanh(kSqrt2OverPi * (x + 0.044715 * x * x * x));
+  const double du = kSqrt2OverPi * (1.0 + 3.0 * 0.044715 * x * x);
+  return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
+}
+
+/// k / per_unit as floats for k = first..last. A division rounds once and
+/// cannot be contracted into an FMA, so the inputs are the same in every
+/// build flavor (-march=native included).
+std::vector<float> Sweep(int64_t first, int64_t last, double per_unit) {
+  std::vector<float> xs;
+  xs.reserve(static_cast<size_t>(last - first + 1));
+  for (int64_t k = first; k <= last; ++k) {
+    xs.push_back(static_cast<float>(static_cast<double>(k) / per_unit));
+  }
+  return xs;
+}
+
+template <typename A, typename B>
+bool SameBits(const A& a, const B& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// The ISA variants this CPU can run, baseline first.
+std::vector<const TranscendentalLoops*> SupportedLoops() {
+  std::vector<const TranscendentalLoops*> loops;
+  for (SimdLevel level :
+       {SimdLevel::kBaseline, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (const TranscendentalLoops* l = TranscendentalLoopsFor(level)) {
+      loops.push_back(l);
+    }
+  }
+  return loops;
+}
+
+TEST(TranscendentalTest, ErrorBoundsAgainstDoubleReference) {
+  const std::vector<float> gelu_x = Sweep(-200000, 200000, 1e4);
+  const size_t n = gelu_x.size();
+  std::vector<float> y(n), dx(n);
+  const std::vector<float> ones(n, 1.0f);
+  GeluForward(gelu_x.data(), y.data(), static_cast<int64_t>(n));
+  GeluBackward(gelu_x.data(), ones.data(), dx.data(), static_cast<int64_t>(n));
+  double gelu_err = 0.0, grad_err = 0.0, libm_err = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const float x = gelu_x[i];
+    gelu_err = std::max(gelu_err, std::fabs(y[i] - GeluReference(x)));
+    grad_err =
+        std::max(grad_err, std::fabs(dx[i] - GeluDerivativeReference(x)));
+    const float libm = 0.5f * x *
+                       (1.0f + std::tanh(static_cast<float>(kSqrt2OverPi) *
+                                         (x + 0.044715f * x * x * x)));
+    libm_err = std::max(libm_err, std::fabs(libm - GeluReference(x)));
+  }
+  EXPECT_LE(gelu_err, 2e-6);
+  EXPECT_LE(grad_err, 1e-5);
+
+  const std::vector<float> exp_x = Sweep(-870000, 100000, 1e4);
+  std::vector<float> e(exp_x.size());
+  Exp(exp_x.data(), e.data(), static_cast<int64_t>(exp_x.size()));
+  double exp_err = 0.0, libm_exp_err = 0.0;
+  for (size_t i = 0; i < exp_x.size(); ++i) {
+    const double want = std::exp(static_cast<double>(exp_x[i]));
+    exp_err = std::max(exp_err, std::fabs(e[i] - want) / want);
+    libm_exp_err = std::max(
+        libm_exp_err, std::fabs(std::exp(exp_x[i]) - want) / want);
+  }
+  EXPECT_LE(exp_err, 2e-7);
+  std::printf(
+      "max error: GELU abs %.2e (float libm formula %.2e), GELU' abs %.2e, "
+      "exp rel %.2e (float libm %.2e)\n",
+      gelu_err, libm_err, grad_err, exp_err, libm_exp_err);
+}
+
+TEST(TranscendentalTest, EveryIsaGivesTheBaselineBits) {
+  const auto loops = SupportedLoops();
+  const TranscendentalLoops& base = *loops.front();
+  // Dense sweeps, then every length 0..67 at unaligned offsets so every
+  // vector body, masked or scalar tail and alias-check path runs.
+  for (const std::vector<float>& xs :
+       {Sweep(-200000, 200000, 1e4), Sweep(-110000, 95000, 1e3)}) {
+    const auto n = static_cast<int64_t>(xs.size());
+    std::vector<float> g(xs.size());
+    for (size_t i = 0; i < g.size(); ++i) g[i] = xs[(i * 7919) % xs.size()];
+    std::vector<float> want_y(xs.size()), want_dx(xs.size()),
+        want_e(xs.size());
+    base.gelu_forward(xs.data(), want_y.data(), n);
+    base.gelu_backward(xs.data(), g.data(), want_dx.data(), n);
+    base.exp(xs.data(), want_e.data(), n);
+    for (const TranscendentalLoops* l : loops) {
+      std::vector<float> y(xs.size()), dx(xs.size()), e(xs.size());
+      l->gelu_forward(xs.data(), y.data(), n);
+      l->gelu_backward(xs.data(), g.data(), dx.data(), n);
+      l->exp(xs.data(), e.data(), n);
+      EXPECT_TRUE(SameBits(y, want_y));
+      EXPECT_TRUE(SameBits(dx, want_dx));
+      EXPECT_TRUE(SameBits(e, want_e));
+      // In place (y aliases x), as the softmaxes call it.
+      std::vector<float> inplace = xs;
+      l->exp(inplace.data(), inplace.data(), n);
+      EXPECT_TRUE(SameBits(inplace, want_e));
+    }
+  }
+  util::Rng rng(31);
+  std::vector<float> src(80), grad(80);
+  for (auto& v : src) v = static_cast<float>(rng.Uniform(-12.0, 12.0));
+  for (auto& v : grad) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  constexpr float kSentinel = -1234.5f;
+  for (int64_t offset = 0; offset < 4; ++offset) {
+    for (int64_t len = 0; len <= 67; ++len) {
+      std::vector<float> want(src.size(), kSentinel);
+      base.gelu_forward(src.data() + offset, want.data() + offset, len);
+      for (int64_t i = 0; i < static_cast<int64_t>(want.size()); ++i) {
+        const bool inside = i >= offset && i < offset + len;
+        ASSERT_EQ(want[static_cast<size_t>(i)] == kSentinel, !inside)
+            << "write outside [offset, offset + len)";
+      }
+      for (const TranscendentalLoops* l : loops) {
+        std::vector<float> y(src.size(), kSentinel);
+        std::vector<float> dx(src.size(), kSentinel);
+        std::vector<float> want_dx(src.size(), kSentinel);
+        std::vector<float> e(src.size(), kSentinel);
+        std::vector<float> want_e(src.size(), kSentinel);
+        l->gelu_forward(src.data() + offset, y.data() + offset, len);
+        l->gelu_backward(src.data() + offset, grad.data() + offset,
+                         dx.data() + offset, len);
+        base.gelu_backward(src.data() + offset, grad.data() + offset,
+                           want_dx.data() + offset, len);
+        l->exp(src.data() + offset, e.data() + offset, len);
+        base.exp(src.data() + offset, want_e.data() + offset, len);
+        ASSERT_TRUE(SameBits(y, want)) << "len " << len << " off " << offset;
+        ASSERT_TRUE(SameBits(dx, want_dx))
+            << "len " << len << " off " << offset;
+        ASSERT_TRUE(SameBits(e, want_e)) << "len " << len << " off " << offset;
+      }
+    }
+  }
+}
+
+TEST(TranscendentalTest, SpecialValues) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denormal = std::numeric_limits<float>::denorm_min() * 1000.0f;
+  const std::vector<float> xs = {nan,   -nan,      kInf,   -kInf, 0.0f,
+                                 -0.0f, denormal, -denormal, -1e9f, 1e9f};
+  const auto n = static_cast<int64_t>(xs.size());
+  const std::vector<float> ones(xs.size(), 1.0f);
+  for (const TranscendentalLoops* l : SupportedLoops()) {
+    std::vector<float> y(xs.size()), dx(xs.size()), e(xs.size());
+    l->gelu_forward(xs.data(), y.data(), n);
+    l->gelu_backward(xs.data(), ones.data(), dx.data(), n);
+    l->exp(xs.data(), e.data(), n);
+    for (int i : {0, 1}) {
+      EXPECT_TRUE(std::isnan(y[i]) && std::isnan(dx[i]) && std::isnan(e[i]));
+    }
+    // exp: 0 and +inf at the infinities, 1 at zero and denormals, the
+    // additive-mask value -1e9 gives exactly 0.
+    EXPECT_EQ(e[2], kInf);
+    EXPECT_EQ(e[3], 0.0f);
+    for (int i : {4, 5, 6, 7}) EXPECT_EQ(e[i], 1.0f);
+    EXPECT_EQ(e[8], 0.0f);
+    EXPECT_EQ(e[9], kInf);
+    // GELU keeps the sign of zero, is 0.5·x on denormals (tanh passes
+    // through), and does at the infinities what the formula does:
+    // +inf·(1 + 1) = +inf and -inf·(1 - 1) = NaN, as with libm's tanh.
+    EXPECT_EQ(y[2], kInf);
+    EXPECT_TRUE(std::isnan(y[3]));
+    EXPECT_EQ(y[4], 0.0f);
+    EXPECT_FALSE(std::signbit(y[4]));
+    EXPECT_TRUE(std::signbit(y[5]));
+    EXPECT_EQ(y[6], 0.5f * denormal);
+    EXPECT_EQ(y[7], -0.5f * denormal);
+    EXPECT_EQ(y[8], 0.0f);  // -1e9·(1 + tanh(-inf)) = -0.
+    EXPECT_EQ(y[9], 1e9f);
+    EXPECT_EQ(dx[4], 0.5f);
+    EXPECT_EQ(dx[8], 0.0f);
+    EXPECT_EQ(dx[9], 1.0f);
+  }
+}
+
+/// FNV-1a over the bytes of `values`.
+uint64_t BitsDigest(const std::vector<float>& values) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (size_t i = 0; i < values.size() * sizeof(float); ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// One polynomial, one order of operations and no FMA fix every output bit,
+// whatever the ISA or -march. Digests recorded from the baseline variant;
+// a contracted multiply-add (e.g. a -march=native build without
+// -ffp-contract=off) changes them even when every lane agrees.
+TEST(TranscendentalTest, BitsMatchTheRecordedNoFmaResults) {
+  const std::vector<float> xs = Sweep(-110000, 95000, 1e3);
+  const auto n = static_cast<int64_t>(xs.size());
+  std::vector<float> y(xs.size()), dx(xs.size()), e(xs.size());
+  const std::vector<float> ones(xs.size(), 1.0f);
+  GeluForward(xs.data(), y.data(), n);
+  GeluBackward(xs.data(), ones.data(), dx.data(), n);
+  Exp(xs.data(), e.data(), n);
+  EXPECT_EQ(BitsDigest(y), 0xf11269ae93356ed2ull);
+  EXPECT_EQ(BitsDigest(dx), 0xe78a98a312f7afcbull);
+  EXPECT_EQ(BitsDigest(e), 0x730fa582cece0c2dull);
+}
+
+/// Three blocks with odd row counts and 37 columns (not a multiple of any
+/// vector width), so vector lanes straddle row boundaries when the blocks
+/// are stacked. Every row must come out the same, byte for byte, wherever
+/// it sits.
+TEST_F(KernelsTest, FusedOpsArePositionInvariant) {
+  util::Rng rng(33);
+  const int64_t cols = 37;
+  const std::vector<int64_t> block_rows = {3, 5, 7};
+  std::vector<Tensor> xs, biases;
+  for (int64_t rows : block_rows) {
+    xs.push_back(Tensor::Randn({rows, cols}, &rng, 2.0f, true));
+    biases.push_back(Tensor::Randn({rows, cols}, &rng, 0.5f, true));
+  }
+  const Tensor b_row = Tensor::Randn({cols}, &rng);
+  const Tensor stacked = Concat(xs, 0);
+  const Tensor stacked_bias = Concat(biases, 0);
+  auto stacked_rows = [&](const Tensor& t, size_t block) {
+    int64_t start = 0;
+    for (size_t k = 0; k < block; ++k) start += block_rows[k];
+    const Tensor rows = SliceRows(t, start, start + block_rows[block]);
+    return std::vector<float>(rows.data().begin(), rows.data().end());
+  };
+  const Tensor gelu_row = BiasGelu(stacked, b_row);
+  const Tensor gelu_same = BiasGelu(stacked, stacked_bias);
+  const Tensor softmax = ScaledMaskedSoftmax(stacked, 0.3f, false);
+  for (size_t k = 0; k < xs.size(); ++k) {
+    EXPECT_TRUE(SameBits(stacked_rows(gelu_row, k),
+                         BiasGelu(xs[k], b_row).data()));
+    EXPECT_TRUE(SameBits(stacked_rows(gelu_same, k),
+                         BiasGelu(xs[k], biases[k]).data()));
+    EXPECT_TRUE(SameBits(stacked_rows(softmax, k),
+                         ScaledMaskedSoftmax(xs[k], 0.3f, false).data()));
+  }
+  // Gradients too: the backward recomputes x + b in fixed-size chunks, and
+  // with a same-shape bias those chunks straddle rows.
+  const Tensor upstream = Tensor::Randn(stacked.shape(), &rng);
+  Sum(Mul(BiasGelu(stacked, stacked_bias), upstream)).Backward();
+  std::vector<std::vector<float>> grads;
+  for (auto& x : xs) grads.emplace_back(x.grad().begin(), x.grad().end());
+  for (auto& x : xs) x.ZeroGrad();
+  for (size_t k = 0; k < xs.size(); ++k) {
+    Sum(Mul(BiasGelu(xs[k], biases[k]),
+            Tensor::FromData(xs[k].shape(), stacked_rows(upstream, k))))
+        .Backward();
+    EXPECT_TRUE(SameBits(xs[k].grad(), grads[k])) << "block " << k;
   }
 }
 

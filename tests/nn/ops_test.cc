@@ -1,10 +1,12 @@
 #include "nn/ops.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "nn/tensor.h"
+#include "util/rng.h"
 
 namespace bigcity::nn {
 namespace {
@@ -21,6 +23,32 @@ TEST(OpsTest, AddRowBroadcast) {
   Tensor bias = Tensor::FromData({3}, {10, 20, 30});
   Tensor c = Add(a, bias);
   EXPECT_EQ(c.data(), (std::vector<float>{11, 22, 33, 14, 25, 36}));
+
+  // Row-broadcast Add walks rows x columns; on a random odd shape, forward
+  // and gradients must equal, bit for bit, the flat-index formulation
+  // (b[i % cols], b's gradient summed over rows in ascending order).
+  util::Rng rng(17);
+  const int64_t rows = 7, cols = 37;
+  Tensor x = Tensor::Randn({rows, cols}, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn({cols}, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn({rows, cols}, &rng);
+  Tensor y = Add(x, b);
+  Sum(Mul(y, w)).Backward();
+  std::vector<float> want_y(static_cast<size_t>(rows * cols));
+  std::vector<float> want_b_grad(static_cast<size_t>(cols), 0.0f);
+  for (size_t i = 0; i < want_y.size(); ++i) {
+    const size_t j = i % static_cast<size_t>(cols);
+    want_y[i] = x.data()[i] + b.data()[j];
+    want_b_grad[j] += w.data()[i];
+  }
+  auto same_bits = [](const auto& got, const auto& want) {
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) ==
+               0;
+  };
+  EXPECT_TRUE(same_bits(y.data(), want_y));
+  EXPECT_TRUE(same_bits(x.grad(), w.data()));
+  EXPECT_TRUE(same_bits(b.grad(), want_b_grad));
 }
 
 TEST(OpsTest, AddScalarBroadcast) {

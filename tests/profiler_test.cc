@@ -111,6 +111,33 @@ TEST(ProfilerTest, ToJsonCarriesOpsAndModules) {
   EXPECT_NE(json.find("\"total_self_us\""), std::string::npos);
 }
 
+// RecordOp memoizes rows per thread by the op and module pointers. The memo
+// must not outlive Reset(), and a module path buffer reused for another
+// name must get its own row.
+TEST(ProfilerTest, RepeatedRecordsSurviveResetAndPathReuse) {
+  obs::Profiler profiler;
+  char path[] = "model.block0";
+  for (int i = 0; i < 3; ++i) {
+    profiler.RecordOp("Add", path, /*backward=*/false, 1, 1, 0, 0);
+  }
+  ASSERT_EQ(profiler.Rows().size(), 1u);
+  EXPECT_EQ(profiler.Rows()[0].calls, 3u);
+
+  profiler.Reset();
+  profiler.RecordOp("Add", path, /*backward=*/false, 1, 1, 0, 0);
+  ASSERT_EQ(profiler.Rows().size(), 1u);
+  EXPECT_EQ(profiler.Rows()[0].calls, 1u);
+
+  path[11] = '1';  // Same pointer, now "model.block1".
+  profiler.RecordOp("Add", path, /*backward=*/false, 1, 1, 0, 0);
+  profiler.RecordOp("Add", path, /*backward=*/true, 1, 1, 0, 0);
+  const auto rows = profiler.Rows();
+  ASSERT_EQ(rows.size(), 3u);
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.calls, 1u) << row.module << " " << row.backward;
+  }
+}
+
 TEST(MemoryTrackerTest, TracksLivePeakAndPhaseChurn) {
   auto& tracker = obs::MemoryTracker::Global();
   const int64_t live_before = tracker.live_bytes();
