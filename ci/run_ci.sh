@@ -13,8 +13,10 @@
 #            smoke (bench_serve --fast + bigcity_cli serve) that validates
 #            BENCH_serve.json and the serve metrics snapshot — including
 #            that the continuous batcher actually coalesced (mean batch
-#            size > 1) and that the hang-injection section saw the watchdog
-#            reap + replace a wedged worker — and a fixed-seed rollout
+#            size > 1), that the replay read shared packed weights (no
+#            more packings than live ones per weight version), and that the
+#            hang-injection section saw the watchdog reap + replace a
+#            wedged worker — and a fixed-seed rollout
 #            smoke (chaos_soak) validating the hot-swap/canary/rollback and
 #            self-healing (stall/leak) invariants and report JSON, and
 #            the benchmark's own tests (perfbench/tests: smoke runs of
@@ -31,6 +33,8 @@
 #            leak-site memory-pressure scenario.
 #   tsan     RelWithDebInfo build with TSan running the serve_check suite
 #            (server, batcher, KV session store, thread pool, watchdog)
+#            and the packed-weight suite (four threads racing to pack one
+#            shared model's weights on their first forwards),
 #            plus a short batched serve smoke — the batching engine's
 #            cross-thread handoffs (batcher queues, shared tokenizer/KV
 #            caches, promise completion) and the watchdog's hang-injection
@@ -211,6 +215,9 @@ run_tsan() {
     -DBIGCITY_SANITIZE=thread
   log "tsan: serving suite (server, batcher, KV sessions, thread pool)"
   cmake --build build-ci-tsan -j"$PAR" --target serve_check
+  log "tsan: packed-weight suite (concurrent first forwards, one model)"
+  cmake --build build-ci-tsan -j"$PAR" --target packed_weight_test
+  ctest --test-dir build-ci-tsan --output-on-failure -R packed_weight_test
   log "tsan: batched serve smoke (bench_serve --fast, 4 workers)"
   cmake --build build-ci-tsan -j"$PAR" --target bench_serve
   local out="ci-artifacts/tsan"

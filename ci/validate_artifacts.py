@@ -67,8 +67,24 @@ def validate_serve(d):
     assert batch_size["sum"] / batch_size["count"] > 1, batch_size
     assert metrics["counters"]["serve.cache.tokenizer.hit"] > 0, (
         metrics["counters"])
+    # Frozen weights are packed once and shared (DESIGN.md §4.8): the replay
+    # read prepacked panels, and it packed each weight once per weight
+    # version served. The bound is the packings still alive at the end (the
+    # replicas, which outlive the snapshot, share one per weight content),
+    # a count that a forward repacking a weight does not raise: the new
+    # packing replaces the old one in the weight's slot.
+    counters = metrics["counters"]
+    gauges = metrics["gauges"]
+    prepacked = counters.get("kernels.gemm.prepacked_calls", 0)
+    assert prepacked > 0, counters
+    versions = 1 + int(gauges.get("serve.rollout.generation", 0))
+    weights = int(gauges["kernels.pack.live_packings"])
+    packings = counters["kernels.pack.packings"]
+    assert 0 < packings <= weights * versions, (packings, weights, versions)
     print(f"serve json validation ok: {len(levels)} load levels + reload, "
-          f"mean batch size {batch_size['sum'] / batch_size['count']:.2f}")
+          f"mean batch size {batch_size['sum'] / batch_size['count']:.2f}, "
+          f"{prepacked} prepacked GEMMs, {packings} packings of "
+          f"{weights} live packed weights x {versions} version(s)")
 
 
 def validate_rollout(d):

@@ -67,8 +67,7 @@ Tensor AffineImpl(const char* name, const Tensor& x, const Tensor& w,
   }
   // Write mode fully overwrites `out` when there is no epilogue to
   // accumulate onto — the kernel never reads the zero-initialized buffer.
-  kernels::GemmAB(x.data().data(), w.data().data(), out.data(), n, k, m,
-                  /*accumulate=*/epilogue);
+  GemmABOperand(x.data().data(), w, out.data(), n, /*accumulate=*/epilogue);
   auto xi = x.impl();
   auto wi = w.impl();
   auto bi = has_bias ? bias.impl() : nullptr;
@@ -252,6 +251,30 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
           }
         }
       });
+}
+
+void GemmABOperand(const float* a, const Tensor& b, float* out, int64_t n,
+                   bool accumulate) {
+  const int64_t k = b.shape()[0], m = b.shape()[1];
+  const float* bd = b.data().data();
+  TensorImpl& impl = *b.impl();
+  if (impl.packed != nullptr && (!impl.requires_grad || !GradEnabled()) &&
+      b.numel() > 0 && kernels::GemmABReadsPanels(n)) {
+    PackedWeight& cache = *impl.packed;
+    std::shared_ptr<const kernels::PackedB> panels;
+    {
+      std::lock_guard<std::mutex> lock(cache.mu);
+      const uint64_t version = cache.version.load(std::memory_order_relaxed);
+      if (cache.panels == nullptr || cache.packed_version != version) {
+        cache.panels = kernels::SharedPackB(bd, k, m);
+        cache.packed_version = version;
+      }
+      panels = cache.panels;
+    }
+    kernels::GemmAB(a, bd, *panels, out, n, accumulate);
+    return;
+  }
+  kernels::GemmAB(a, bd, out, n, k, m, accumulate);
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {

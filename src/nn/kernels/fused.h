@@ -50,6 +50,15 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
 /// (attention q·k^T and tied-embedding logit projections).
 Tensor MatMulNT(const Tensor& a, const Tensor& b);
 
+/// out[n,M] (+)= a[n,K] · b[K,M] through kernels::GemmAB: the forward
+/// product of MatMul, Affine and AffineResidual. When b is a registered
+/// parameter this forward does not train (it is frozen, or grad is off)
+/// and the product reads packed panels, b's cached packing is used. It is
+/// (re)made, shared by content, when b was written since (DESIGN.md §4.8).
+/// Same bits as the plain GemmAB either way.
+void GemmABOperand(const float* a, const Tensor& b, float* out, int64_t n,
+                   bool accumulate);
+
 }  // namespace bigcity::nn
 
 #endif  // BIGCITY_NN_KERNELS_FUSED_H_

@@ -1,11 +1,16 @@
 #include "nn/kernels/kernels.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -302,12 +307,28 @@ RankOneFn PickRankOne() {
 
 const RankOneFn g_rank_one = PickRankOne();
 
+/// The rank-one cut: a product with at most two micro-tiles of rows over a
+/// row-major B streams B's rows through g_rank_one and never packs it.
+inline bool IsRankOne(int64_t n, int64_t b_cs) {
+  return b_cs == 1 && n <= 2 * MR;
+}
+
+/// Offset of the (jc, pc) panel in a full packing of B[k, m]: every column
+/// block before jc is NC wide (a multiple of NR), and within a block the
+/// depth panels are stacked at its padded width.
+inline int64_t PanelOffset(int64_t k, int64_t m, int64_t jc, int64_t pc) {
+  return k * jc + pc * RoundUp(std::min(NC, m - jc), NR);
+}
+
 /// Blocked, panel-packed GEMM over logical operands given by strides:
 /// C[n,m] (+)= A·B with A element (i,p) at a[i*a_rs + p*a_cs] and B element
-/// (p,j) at b[p*b_rs + j*b_cs]. C is contiguous row-major.
+/// (p,j) at b[p*b_rs + j*b_cs]. C is contiguous row-major. B's panels come
+/// from `packed` when given (it must hold this B), else they are packed
+/// here one (jc, pc) panel at a time; the loop nest is the same either way.
 void GemmBlockedStrided(const float* a, int64_t a_rs, int64_t a_cs,
                         const float* b, int64_t b_rs, int64_t b_cs, float* c,
-                        int64_t n, int64_t k, int64_t m, bool accumulate) {
+                        int64_t n, int64_t k, int64_t m, bool accumulate,
+                        const PackedB* packed = nullptr) {
   if (n <= 0 || m <= 0) return;
   if (k <= 0) {
     // Empty inner dimension: write mode must still define the output.
@@ -318,7 +339,7 @@ void GemmBlockedStrided(const float* a, int64_t a_rs, int64_t a_cs,
     }
     return;
   }
-  if (b_cs == 1 && n <= 2 * MR) {
+  if (IsRankOne(n, b_cs)) {
     BIGCITY_TRACE_SPAN("gemm.compute", "kernels");
     g_rank_one(a, a_rs, a_cs, b, b_rs, c, n, k, m, accumulate);
     return;
@@ -327,14 +348,22 @@ void GemmBlockedStrided(const float* a, int64_t a_rs, int64_t a_cs,
   // mmap threshold, and a fresh mmap/munmap plus page faults per GEMM call
   // costs more than the math of a small forward.
   thread_local std::vector<float> pb;
-  pb.resize(static_cast<size_t>(std::min(KC, k) *
-                                RoundUp(std::min(NC, m), NR)));
+  if (packed == nullptr) {
+    pb.resize(static_cast<size_t>(std::min(KC, k) *
+                                  RoundUp(std::min(NC, m), NR)));
+  }
   util::ThreadPool& pool = util::GlobalThreadPool();
   for (int64_t jc = 0; jc < m; jc += NC) {
     const int64_t nc = std::min(NC, m - jc);
     for (int64_t pc = 0; pc < k; pc += KC) {
       const int64_t kc = std::min(KC, k - pc);
-      {
+      // A raw pointer, not the thread_local vector: a lambda body resolves
+      // a thread_local to the *executing* thread's instance, and pooled
+      // chunks run on worker threads that never packed anything.
+      const float* pb_data = nullptr;
+      if (packed != nullptr) {
+        pb_data = packed->Panel(jc, pc);
+      } else {
         // Pack/compute split per depth panel. Compute includes the
         // per-chunk A packing done inside the parallel body. Trace-only
         // (inert unless tracing is on): this loop runs hundreds of
@@ -342,13 +371,10 @@ void GemmBlockedStrided(const float* a, int64_t a_rs, int64_t a_cs,
         // here cost several percent of total wall time.
         BIGCITY_TRACE_SPAN("gemm.pack", "kernels");
         PackB(b + pc * b_rs + jc * b_cs, b_rs, b_cs, kc, nc, pb.data());
+        pb_data = pb.data();
       }
       BIGCITY_TRACE_SPAN("gemm.compute", "kernels");
       const bool load_c = accumulate || pc > 0;
-      // A raw pointer, not the thread_local vector: a lambda body resolves
-      // a thread_local to the *executing* thread's instance, and pooled
-      // chunks run on worker threads that never packed anything.
-      const float* pb_data = pb.data();
       pool.ParallelFor(0, n, MC, [&](int64_t row_begin, int64_t row_end) {
         thread_local std::vector<float> pa;
         const int64_t mc = row_end - row_begin;
@@ -379,7 +405,166 @@ GemmBackend DefaultBackend() {
 
 GemmBackend g_backend = DefaultBackend();
 
+// --- Packing store -----------------------------------------------------------
+
+/// Adds a made (+1, +bytes) or freed (-1, -bytes) packing to the
+/// kernels.pack.live_packings / live_bytes gauges. One lock orders the
+/// updates, so the last value set is the current total.
+void PublishLive(int64_t packings, int64_t bytes) {
+  // Leaked: packings may be freed during static destruction.
+  static std::mutex* mu = new std::mutex();
+  [[maybe_unused]] static int64_t live_packings = 0;
+  [[maybe_unused]] static int64_t live_bytes = 0;
+  std::lock_guard<std::mutex> lock(*mu);
+  live_packings += packings;
+  live_bytes += bytes;
+  BIGCITY_GAUGE_SET("kernels.pack.live_packings", live_packings);
+  BIGCITY_GAUGE_SET("kernels.pack.live_bytes", live_bytes);
+}
+
+/// 64-bit hash of a float buffer's bytes, eight at a time. Each step
+/// ((h ^ w) * odd, then an xor-shift) is a bijection of h for a fixed w, so
+/// two equal-length buffers that differ in exactly one word (one flipped
+/// bit, -0 against +0) always hash differently.
+uint64_t HashFloats(const float* values, int64_t count) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values);
+  const size_t size = static_cast<size_t>(count) * sizeof(float);
+  uint64_t h = 0x9e3779b97f4a7c15ull ^ size;
+  auto mix = [&h](uint64_t w) {
+    h = (h ^ w) * 0xff51afd7ed558ccdull;
+    h ^= h >> 32;
+  };
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, bytes + i, 8);
+    mix(w);
+  }
+  if (i < size) {
+    uint32_t w = 0;
+    std::memcpy(&w, bytes + i, 4);
+    mix(w);
+  }
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+struct PackKey {
+  int64_t k, m;
+  uint64_t hash;
+  bool operator==(const PackKey&) const = default;
+};
+
+struct PackKeyHash {
+  size_t operator()(const PackKey& key) const {
+    return static_cast<size_t>(key.hash ^
+                               (static_cast<uint64_t>(key.k) << 32) ^
+                               static_cast<uint64_t>(key.m));
+  }
+};
+
+/// Content-addressed map from (K, M, hash) to the live packing. Entries
+/// hold weak references, so a packing dies with its last holder; dead
+/// entries are swept as the map grows.
+class PackStore {
+ public:
+  static PackStore& Global() {
+    // Leaked: packings may be released during static destruction.
+    static PackStore* store = new PackStore();
+    return *store;
+  }
+
+  std::shared_ptr<const PackedB> Get(const float* b, int64_t k, int64_t m) {
+    BIGCITY_COUNTER_INC("kernels.pack.lookups");
+    const PackKey key{k, m, HashFloats(b, k * m)};
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      std::shared_ptr<const PackedB> live = it->second.lock();
+      if (live != nullptr && live->Holds(b)) return live;
+    }
+    auto packed = std::make_shared<const PackedB>(b, k, m);
+    BIGCITY_COUNTER_INC("kernels.pack.packings");
+    entries_[key] = packed;
+    if (entries_.size() > 2 * swept_size_ + 16) {
+      std::erase_if(entries_,
+                    [](const auto& entry) { return entry.second.expired(); });
+      swept_size_ = entries_.size();
+    }
+    return packed;
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<PackKey, std::weak_ptr<const PackedB>, PackKeyHash>
+      entries_;
+  size_t swept_size_ = 0;  // Entries left by the last sweep.
+};
+
 }  // namespace
+
+PackedB::PackedB(const float* b, int64_t k, int64_t m)
+    : k_(k),
+      m_(m),
+      bytes_(static_cast<size_t>(k * RoundUp(m, NR)) * sizeof(float)) {
+  BIGCITY_CHECK(k > 0 && m > 0) << "empty packed operand " << k << "x" << m;
+  // A private anonymous mapping rather than the heap: munmap hands the
+  // pages back at once, where a freed multi-megabyte heap block may stay
+  // in the allocator's arenas.
+  void* pages = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  BIGCITY_CHECK(pages != MAP_FAILED)
+      << "cannot map " << bytes_ << " bytes of packed panels";
+  panels_ = static_cast<float*>(pages);
+  for (int64_t jc = 0; jc < m; jc += NC) {
+    const int64_t nc = std::min(NC, m - jc);
+    for (int64_t pc = 0; pc < k; pc += KC) {
+      PackB(b + pc * m + jc, m, 1, std::min(KC, k - pc), nc,
+            panels_ + PanelOffset(k, m, jc, pc));
+    }
+  }
+  PublishLive(1, static_cast<int64_t>(bytes_));
+}
+
+PackedB::~PackedB() {
+  munmap(panels_, bytes_);
+  PublishLive(-1, -static_cast<int64_t>(bytes_));
+}
+
+const float* PackedB::Panel(int64_t jc, int64_t pc) const {
+  return panels_ + PanelOffset(k_, m_, jc, pc);
+}
+
+bool PackedB::Holds(const float* b) const {
+  // Walks the panels in PackB's order; padding columns are always zero and
+  // are not compared.
+  for (int64_t jc = 0; jc < m_; jc += NC) {
+    const int64_t nc = std::min(NC, m_ - jc);
+    for (int64_t pc = 0; pc < k_; pc += KC) {
+      const int64_t kc = std::min(KC, k_ - pc);
+      const float* slab = Panel(jc, pc);
+      for (int64_t j0 = 0; j0 < nc; j0 += NR) {
+        const size_t live =
+            static_cast<size_t>(std::min(NR, nc - j0)) * sizeof(float);
+        const float* src = b + pc * m_ + jc + j0;
+        for (int64_t p = 0; p < kc; ++p) {
+          if (std::memcmp(slab + p * NR, src + p * m_, live) != 0) {
+            return false;
+          }
+        }
+        slab += kc * NR;
+      }
+    }
+  }
+  return true;
+}
+
+std::shared_ptr<const PackedB> SharedPackB(const float* b, int64_t k,
+                                           int64_t m) {
+  return PackStore::Global().Get(b, k, m);
+}
 
 void SetBackend(GemmBackend backend) { g_backend = backend; }
 
@@ -465,6 +650,10 @@ void GemmAtBBlocked(const float* a, const float* b, float* c, int64_t n,
   GemmBlockedStrided(a, 1, k, b, m, 1, c, k, n, m, accumulate);
 }
 
+bool GemmABReadsPanels(int64_t n) {
+  return g_backend == GemmBackend::kBlocked && !IsRankOne(n, /*b_cs=*/1);
+}
+
 // --- Dispatch ----------------------------------------------------------------
 
 // Dispatch-tier probes: every product in the library flows through these
@@ -482,6 +671,23 @@ void GemmAB(const float* a, const float* b, float* c, int64_t n, int64_t k,
   } else {
     GemmABBlocked(a, b, c, n, k, m, accumulate);
   }
+}
+
+void GemmAB(const float* a, const float* b, const PackedB& packed, float* c,
+            int64_t n, bool accumulate) {
+  const int64_t k = packed.k(), m = packed.m();
+  BIGCITY_COUNTER_INC("kernels.gemm.calls");
+  BIGCITY_COUNTER_ADD("kernels.gemm.flops",
+                      2ull * static_cast<uint64_t>(n * k * m));
+  BIGCITY_TRACE_SPAN("gemm.AB", "kernels");
+  if (g_backend == GemmBackend::kNaive) {
+    GemmABNaive(a, b, c, n, k, m, accumulate);
+    return;
+  }
+  if (GemmABReadsPanels(n)) {
+    BIGCITY_COUNTER_INC("kernels.gemm.prepacked_calls");
+  }
+  GemmBlockedStrided(a, k, 1, b, m, 1, c, n, k, m, accumulate, &packed);
 }
 
 void GemmABt(const float* a, const float* b, float* c, int64_t n, int64_t k,

@@ -1,7 +1,9 @@
 #ifndef BIGCITY_NN_KERNELS_KERNELS_H_
 #define BIGCITY_NN_KERNELS_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 namespace bigcity::nn::kernels {
 
@@ -48,6 +50,64 @@ void GemmABt(const float* a, const float* b, float* c, int64_t n, int64_t k,
              int64_t m, bool accumulate);
 void GemmAtB(const float* a, const float* b, float* c, int64_t n, int64_t k,
              int64_t m, bool accumulate);
+
+// --- Prepacked B operands ----------------------------------------------------
+//
+// The blocked backend copies B into NR-column panels on every call. When B
+// is a weight that does not change between calls, the copy can be made
+// once: PackedB holds every panel the loop nest of one GemmAB call would
+// pack, and the GemmAB overload below reads them instead. The panels feed
+// the same micro-kernel through the same loop nest, so the bits equal
+// GemmAB(a, b, ...) for every shape, backend and thread count.
+
+/// Row-major B[K,M] packed into the blocked backend's panel layout.
+/// Immutable once built. The panels live in their own page mapping, so
+/// destroying a packing returns its pages to the OS.
+class PackedB {
+ public:
+  PackedB(const float* b, int64_t k, int64_t m);
+  ~PackedB();
+  PackedB(const PackedB&) = delete;
+  PackedB& operator=(const PackedB&) = delete;
+
+  int64_t k() const { return k_; }
+  int64_t m() const { return m_; }
+  size_t bytes() const { return bytes_; }
+  /// True when b[K,M] has exactly the bytes these panels were packed from
+  /// (so -0 and +0 differ). Compares the panels' live columns in place.
+  bool Holds(const float* b) const;
+  /// The panel of column block `jc` and depth block `pc` (both multiples of
+  /// the backend's blocking; internal to the loop nest).
+  const float* Panel(int64_t jc, int64_t pc) const;
+
+ private:
+  int64_t k_, m_;
+  size_t bytes_;
+  float* panels_ = nullptr;
+};
+
+/// The live packing of row-major b[K,M], shared by content: a packing is
+/// made only when no live one holds the same bytes (found by shape and a
+/// 64-bit content hash, then verified with PackedB::Holds). Each distinct
+/// content is therefore packed once while any holder keeps it alive.
+/// Thread-safe. Counts kernels.pack.lookups (calls) and
+/// kernels.pack.packings (misses); the gauges kernels.pack.live_packings
+/// and kernels.pack.live_bytes follow every PackedB made and freed.
+std::shared_ptr<const PackedB> SharedPackB(const float* b, int64_t k,
+                                           int64_t m);
+
+/// Whether a GemmAB with `n` output rows under the current backend reads
+/// packed panels. Short products (the rank-one path) and the naive backend
+/// read row-major B, so a caller need not fetch a packing for them.
+bool GemmABReadsPanels(int64_t n);
+
+/// C[N,M] (+)= A[N,K] · B[K,M] with B also given as its packing (built from
+/// the same bytes as `b`, K = packed.k(), M = packed.m()). Honors backend()
+/// like GemmAB and gives the same bits; the naive backend and the rank-one
+/// path read `b`, the blocked loop nest reads the panels (counted by
+/// kernels.gemm.prepacked_calls).
+void GemmAB(const float* a, const float* b, const PackedB& packed, float* c,
+            int64_t n, bool accumulate);
 
 // --- Fixed-backend variants (equivalence tests, benchmarks) ----------------
 

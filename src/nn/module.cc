@@ -99,7 +99,9 @@ util::Status Module::LoadStateFromFile(const std::string& path) {
 
 void Module::CopyStateFrom(const Module& other) {
   auto dst = NamedParameters();
-  auto src = other.NamedParameters();
+  // Const: a mutable data() counts as a write, which would invalidate the
+  // source's cached packings.
+  const auto src = other.NamedParameters();
   BIGCITY_CHECK_EQ(dst.size(), src.size());
   for (size_t i = 0; i < dst.size(); ++i) {
     BIGCITY_CHECK_EQ(dst[i].second.data().size(), src[i].second.data().size())
@@ -110,6 +112,9 @@ void Module::CopyStateFrom(const Module& other) {
 
 Tensor Module::RegisterParameter(std::string name, Tensor parameter) {
   BIGCITY_CHECK(parameter.is_valid());
+  // The mark that lets forward GEMMs cache this tensor's packing.
+  TensorImpl& impl = *parameter.impl();
+  if (impl.packed == nullptr) impl.packed = std::make_unique<PackedWeight>();
   parameters_.emplace_back(std::move(name), parameter);
   return parameter;
 }

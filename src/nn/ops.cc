@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "nn/kernels/fused.h"
 #include "nn/kernels/kernels.h"
 #include "obs/profiler.h"
 #include "util/check.h"
@@ -303,8 +304,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   // Write-mode GEMM: the kernel fully overwrites `out`, so no zero-filled
   // accumulation pass over the buffer is ever read.
   FloatVec out(static_cast<size_t>(n * m));
-  kernels::GemmAB(a.data().data(), b.data().data(), out.data(), n, k, m,
-                  /*accumulate=*/false);
+  GemmABOperand(a.data().data(), b, out.data(), n, /*accumulate=*/false);
   auto ai = a.impl();
   auto bi = b.impl();
   return MakeOpResult(

@@ -141,6 +141,9 @@ int64_t Tensor::cols() const {
 
 FloatVec& Tensor::data() {
   BIGCITY_CHECK(is_valid());
+  if (impl_->packed != nullptr) {
+    impl_->packed->version.fetch_add(1, std::memory_order_relaxed);
+  }
   return impl_->data;
 }
 

@@ -1,9 +1,11 @@
 #ifndef BIGCITY_NN_TENSOR_H_
 #define BIGCITY_NN_TENSOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,7 +15,25 @@
 
 namespace bigcity::nn {
 
+namespace kernels {
+class PackedB;
+}  // namespace kernels
+
 struct TensorImpl;
+
+/// A registered parameter's write count and cached GEMM B-operand packing
+/// (DESIGN.md §4.8).
+struct PackedWeight {
+  /// Bumped by every non-const Tensor::data() of the parameter, which makes
+  /// a packing made at an older count stale. A write through a reference
+  /// kept from before a forward is not seen; take data() again to write.
+  std::atomic<uint64_t> version{0};
+  /// Guards the packing below: forwards on several threads may share one
+  /// model.
+  std::mutex mu;
+  uint64_t packed_version = 0;
+  std::shared_ptr<const kernels::PackedB> panels;
+};
 
 /// Parent edges of a graph node; arena-backed inside a plan scope like
 /// the payloads they keep alive.
@@ -49,6 +69,12 @@ struct TensorImpl {
   uint64_t seq = 0;
   const char* op_name = "";      // String literal; "" = untagged.
   const char* module_path = "";  // Owned by the module tree; "" = untagged.
+
+  /// Set by Module::RegisterParameter, and only there: activations are
+  /// created fresh by every call, so caching their packing would pack on
+  /// every call anyway. Kept to one pointer: every graph node carries it
+  /// (DESIGN.md §4.8, Memory).
+  std::unique_ptr<PackedWeight> packed;
 
   int64_t numel() const {
     int64_t n = 1;
@@ -136,6 +162,7 @@ class Tensor {
   int64_t rows() const;
   int64_t cols() const;
 
+  /// Mutable access counts as a write (PackedWeight::version).
   FloatVec& data();
   const FloatVec& data() const;
   FloatVec& grad();

@@ -264,31 +264,37 @@ std::string Profiler::ToJson() const {
 }
 
 void Profiler::PrintTable(std::FILE* out, size_t max_rows) const {
+  // GFLOP is a row's total work; GFLOP/s divides it by the row's self time
+  // (0 when no self time was measured).
+  auto rate = [](uint64_t flops, uint64_t self_us) {
+    return self_us == 0 ? 0.0 : flops / (self_us * 1e3);
+  };
   const std::vector<OpStats> rows = Rows();
   const uint64_t total_self = TotalSelfUs();
   std::fprintf(out,
                "--- op profile: %zu rows, %.1f ms total self time ---\n",
                rows.size(), total_self / 1e3);
-  std::fprintf(out, "%-22s %-4s %-40s %8s %10s %10s %9s\n", "op", "dir",
-               "module", "calls", "self_ms", "total_ms", "gflops");
+  std::fprintf(out, "%-22s %-4s %-40s %8s %10s %10s %9s %9s\n", "op", "dir",
+               "module", "calls", "self_ms", "total_ms", "GFLOP", "GFLOP/s");
   for (size_t i = 0; i < rows.size() && i < max_rows; ++i) {
     const OpStats& row = rows[i];
-    std::fprintf(out, "%-22s %-4s %-40s %8" PRIu64 " %10.2f %10.2f %9.2f\n",
+    std::fprintf(out,
+                 "%-22s %-4s %-40s %8" PRIu64 " %10.2f %10.2f %9.2f %9.2f\n",
                  row.op.c_str(), row.backward ? "bwd" : "fwd",
                  row.module.empty() ? "(untagged)" : row.module.c_str(),
                  row.calls, row.self_us / 1e3, row.total_us / 1e3,
-                 row.flops / 1e9);
+                 row.flops / 1e9, rate(row.flops, row.self_us));
   }
   const std::vector<ModuleStats> modules = ModuleRollup();
   std::fprintf(out, "--- module rollup (inclusive over dotted paths) ---\n");
-  std::fprintf(out, "%-46s %8s %10s %10s %9s\n", "module", "calls", "self_ms",
-               "incl_ms", "gflops");
+  std::fprintf(out, "%-46s %8s %10s %10s %9s %9s\n", "module", "calls",
+               "self_ms", "incl_ms", "GFLOP", "GFLOP/s");
   for (size_t i = 0; i < modules.size() && i < max_rows; ++i) {
     const ModuleStats& stats = modules[i];
-    std::fprintf(out, "%-46s %8" PRIu64 " %10.2f %10.2f %9.2f\n",
+    std::fprintf(out, "%-46s %8" PRIu64 " %10.2f %10.2f %9.2f %9.2f\n",
                  stats.module.empty() ? "(untagged)" : stats.module.c_str(),
                  stats.calls, stats.self_us / 1e3, stats.total_us / 1e3,
-                 stats.flops / 1e9);
+                 stats.flops / 1e9, rate(stats.flops, stats.self_us));
   }
 }
 

@@ -111,7 +111,8 @@ class Profiler {
 
   /// {"ops":[...],"modules":[...],"total_self_us":N}.
   std::string ToJson() const;
-  /// Human-readable op table + module rollup (top `max_rows` each).
+  /// Human-readable op table + module rollup (top `max_rows` each). GFLOP
+  /// is a row's total work, GFLOP/s that work over the row's self time.
   void PrintTable(std::FILE* out, size_t max_rows = 32) const;
 
   void Reset();

@@ -3,7 +3,8 @@
 // (no zero-skip), write-mode overwrite semantics, the ThreadPool's static
 // partitioning contract, the transcendental loops' error bounds and
 // same-bits-on-every-ISA contract, position invariance of the fused ops,
-// and gradients of every fused op under both backends.
+// the prepacked-B path and its content-shared store, and gradients of
+// every fused op under both backends.
 #include "nn/kernels/kernels.h"
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "nn/kernels/fused.h"
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -43,6 +46,36 @@ const std::vector<Shape> kShapes = {
     {1, 1, 1},  {3, 5, 7},    {4, 16, 64},  {1, 7, 1},   {13, 1, 17},
     {5, 300, 9}, {64, 64, 64}, {67, 129, 31}, {130, 17, 5}, {5, 17, 130},
 };
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+double GaugeValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetGauge(name)->Value();
+}
+
+/// Metric-delta checks; no-ops in the obs-off build flavor, where the
+/// probes compile out and the registry never moves.
+void ExpectCounterDelta(const char* name, uint64_t before, uint64_t delta) {
+#if BIGCITY_OBS
+  EXPECT_EQ(CounterValue(name), before + delta) << name;
+#else
+  (void)name;
+  (void)before;
+  (void)delta;
+#endif
+}
+
+void ExpectGaugeDelta(const char* name, double before, double delta) {
+#if BIGCITY_OBS
+  EXPECT_EQ(GaugeValue(name), before + delta) << name;
+#else
+  (void)name;
+  (void)before;
+  (void)delta;
+#endif
+}
 
 std::vector<float> RandomVec(size_t size, util::Rng* rng) {
   std::vector<float> v(size);
@@ -177,6 +210,124 @@ TEST_F(KernelsTest, DispatchHonorsBackendSelection) {
   EXPECT_EQ(backend(), GemmBackend::kBlocked);
   GemmAB(a.data(), b.data(), c_blocked.data(), s.n, s.k, s.m, false);
   EXPECT_EQ(c_naive, c_blocked);
+}
+
+// --- Prepacked B operands ---------------------------------------------------
+
+/// The prepacked GemmAB against GemmABNaive and GemmABBlocked, memcmp-equal
+/// in write and accumulate modes at 1 and 4 threads. n covers the rank-one
+/// cut (8 | 9) and MC (64 | 65); (K, M) covers K > KC, M > NC and M not a
+/// multiple of NR.
+TEST_F(KernelsTest, PrepackedMatchesNaiveAndBlocked) {
+  const std::vector<std::pair<int64_t, int64_t>> depth_width = {
+      {300, 37}, {64, 300}, {300, 270}, {17, 16}, {1, 5}};
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const auto& [k, m] : depth_width) {
+      util::Rng rng(7 + k + 3 * m);
+      const std::vector<float> b =
+          RandomVec(static_cast<size_t>(k * m), &rng);
+      const PackedB packed(b.data(), k, m);
+      EXPECT_TRUE(packed.Holds(b.data()));
+      for (int64_t n : {1, 8, 9, 64, 65, 200}) {
+        for (bool accumulate : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "threads " << threads << " n " << n << " k " << k
+                       << " m " << m << " accumulate " << accumulate);
+          const std::vector<float> a =
+              RandomVec(static_cast<size_t>(n * k), &rng);
+          const size_t c_size = static_cast<size_t>(n * m);
+          const std::vector<float> c0 =
+              accumulate ? RandomVec(c_size, &rng)
+                         : std::vector<float>(c_size, 123.25f);
+          std::vector<float> naive = c0, blocked = c0, prepacked = c0;
+          GemmABNaive(a.data(), b.data(), naive.data(), n, k, m, accumulate);
+          GemmABBlocked(a.data(), b.data(), blocked.data(), n, k, m,
+                        accumulate);
+          const uint64_t calls =
+              CounterValue("kernels.gemm.prepacked_calls");
+          GemmAB(a.data(), b.data(), packed, prepacked.data(), n,
+                 accumulate);
+          // The panels are read above the rank-one cut only.
+          ExpectCounterDelta("kernels.gemm.prepacked_calls", calls,
+                             n > 8 ? 1 : 0);
+          const size_t bytes = c_size * sizeof(float);
+          ASSERT_EQ(std::memcmp(naive.data(), prepacked.data(), bytes), 0);
+          ASSERT_EQ(std::memcmp(blocked.data(), prepacked.data(), bytes), 0);
+          // Under the naive backend the entry is the naive reference.
+          std::vector<float> reference = c0;
+          SetBackend(GemmBackend::kNaive);
+          GemmAB(a.data(), b.data(), packed, reference.data(), n,
+                 accumulate);
+          SetBackend(GemmBackend::kBlocked);
+          ASSERT_EQ(std::memcmp(naive.data(), reference.data(), bytes), 0);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, PackedBHoldsExactlyItsBytes) {
+  util::Rng rng(3);
+  const int64_t k = 260, m = 45;
+  std::vector<float> b = RandomVec(static_cast<size_t>(k * m), &rng);
+  b[100] = 0.0f;
+  const PackedB packed(b.data(), k, m);
+  EXPECT_EQ(packed.bytes(), static_cast<size_t>(k * 48) * sizeof(float));
+  EXPECT_TRUE(packed.Holds(b.data()));
+  for (size_t index : {size_t{0}, size_t{44}, b.size() - 1}) {
+    std::vector<float> flipped = b;
+    uint32_t bits = 0;
+    std::memcpy(&bits, &flipped[index], sizeof(bits));
+    bits ^= 1u << 3;
+    std::memcpy(&flipped[index], &bits, sizeof(bits));
+    EXPECT_FALSE(packed.Holds(flipped.data())) << "bit flip at " << index;
+  }
+  std::vector<float> negative_zero = b;
+  negative_zero[100] = -0.0f;
+  EXPECT_FALSE(packed.Holds(negative_zero.data()));
+}
+
+TEST_F(KernelsTest, SharedPackBSharesByContent) {
+  util::Rng rng(4);
+  const int64_t k = 33, m = 70;
+  const std::vector<float> b = RandomVec(static_cast<size_t>(k * m), &rng);
+  const std::vector<float> copy = b;
+  const uint64_t lookups = CounterValue("kernels.pack.lookups");
+  const uint64_t packings = CounterValue("kernels.pack.packings");
+  const double live = GaugeValue("kernels.pack.live_packings");
+  const double live_bytes = GaugeValue("kernels.pack.live_bytes");
+  std::shared_ptr<const PackedB> first = SharedPackB(b.data(), k, m);
+  std::shared_ptr<const PackedB> second = SharedPackB(copy.data(), k, m);
+  EXPECT_EQ(first, second);
+  ExpectCounterDelta("kernels.pack.lookups", lookups, 2);
+  ExpectCounterDelta("kernels.pack.packings", packings, 1);
+  ExpectGaugeDelta("kernels.pack.live_packings", live, 1);
+  ExpectGaugeDelta("kernels.pack.live_bytes", live_bytes,
+                   static_cast<double>(first->bytes()));
+  // Same bytes read as another shape is another packing.
+  std::shared_ptr<const PackedB> reshaped = SharedPackB(b.data(), m, k);
+  EXPECT_NE(reshaped, first);
+  std::vector<float> signed_zero = b;
+  signed_zero[5] = 0.0f;
+  std::vector<float> negative_zero = b;
+  negative_zero[5] = -0.0f;
+  EXPECT_NE(SharedPackB(signed_zero.data(), k, m),
+            SharedPackB(negative_zero.data(), k, m));
+  // The zero-signed packings died with their temporaries.
+  ExpectGaugeDelta("kernels.pack.live_packings", live, 2);
+  const std::weak_ptr<const PackedB> watched = first;
+  first.reset();
+  EXPECT_FALSE(watched.expired()) << "`second` still holds the packing";
+  second.reset();
+  EXPECT_TRUE(watched.expired());
+  reshaped.reset();
+  ExpectGaugeDelta("kernels.pack.live_packings", live, 0);
+  ExpectGaugeDelta("kernels.pack.live_bytes", live_bytes, 0);
+  // The content is gone from the store too: the next lookup packs again.
+  const uint64_t repacked = CounterValue("kernels.pack.packings");
+  std::shared_ptr<const PackedB> again = SharedPackB(b.data(), k, m);
+  ExpectCounterDelta("kernels.pack.packings", repacked, 1);
 }
 
 // --- ThreadPool contract ----------------------------------------------------

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -136,6 +140,56 @@ TEST(ProfilerTest, RepeatedRecordsSurviveResetAndPathReuse) {
   for (const auto& row : rows) {
     EXPECT_EQ(row.calls, 1u) << row.module << " " << row.backward;
   }
+}
+
+/// The whitespace-separated fields of each line of `text`, keyed by the
+/// line's first field.
+std::map<std::string, std::vector<std::string>> LinesByFirstField(
+    const std::string& text) {
+  std::map<std::string, std::vector<std::string>> lines;
+  std::istringstream stream(text);
+  std::string line;
+  while (std::getline(stream, line)) {
+    std::istringstream words(line);
+    std::vector<std::string> fields;
+    for (std::string word; words >> word;) fields.push_back(word);
+    if (!fields.empty()) lines[fields[0]] = fields;
+  }
+  return lines;
+}
+
+// PrintTable's last two columns, in the op table and the module rollup: a
+// row's total work (GFLOP) and that work over its self time (GFLOP/s).
+TEST(ProfilerTest, PrintTableShowsTotalWorkAndRate) {
+  obs::Profiler profiler;
+  // 3 GFLOP in 1.5 ms of self time: 2000 GFLOP/s.
+  profiler.RecordOp("Pinned", "pinned", /*backward=*/false, 1500, 2000,
+                    3000000000ull, 0);
+  // 5 GFLOP with no self time: the rate prints 0, not inf.
+  profiler.RecordOp("Idle", "idle", /*backward=*/false, 0, 0, 5000000000ull,
+                    0);
+  char* buffer = nullptr;
+  size_t size = 0;
+  std::FILE* out = open_memstream(&buffer, &size);
+  ASSERT_NE(out, nullptr);
+  profiler.PrintTable(out);
+  std::fclose(out);
+  const std::string text(buffer, size);
+  std::free(buffer);
+  auto lines = LinesByFirstField(text);
+  auto last_two = [&](const std::string& first) {
+    const std::vector<std::string>& fields = lines[first];
+    EXPECT_GE(fields.size(), 2u) << first << " missing in\n" << text;
+    if (fields.size() < 2) return std::vector<std::string>{};
+    return std::vector<std::string>(fields.end() - 2, fields.end());
+  };
+  const std::vector<std::string> heading = {"GFLOP", "GFLOP/s"};
+  EXPECT_EQ(last_two("op"), heading);
+  EXPECT_EQ(last_two("module"), heading);
+  EXPECT_EQ(last_two("Pinned"), (std::vector<std::string>{"3.00", "2000.00"}));
+  EXPECT_EQ(last_two("Idle"), (std::vector<std::string>{"5.00", "0.00"}));
+  EXPECT_EQ(last_two("pinned"), (std::vector<std::string>{"3.00", "2000.00"}));
+  EXPECT_EQ(last_two("idle"), (std::vector<std::string>{"5.00", "0.00"}));
 }
 
 TEST(MemoryTrackerTest, TracksLivePeakAndPhaseChurn) {
