@@ -7,21 +7,25 @@
 #
 # Jobs:
 #   release  Release build, full ctest (includes the bench_gate perf smoke
-#            with its kernel/train/serve gates), format_check, a 2-epoch
+#            with its kernel/train/serve gates), the batch, core, serve,
+#            plan, watchdog and packed-weight suites again on the naive GEMM
+#            oracle (BIGCITY_GEMM=naive), format_check, a 2-epoch
 #            bigcity_cli train smoke on --threads 2 that validates the
 #            trace / run-report / metrics outputs, a high-concurrency serve
 #            smoke (bench_serve --fast + bigcity_cli serve) that validates
 #            BENCH_serve.json and the serve metrics snapshot — including
 #            that the continuous batcher actually coalesced (mean batch
 #            size > 1), that the replay read shared packed weights (no
-#            more packings than live ones per weight version), and that the
-#            hang-injection section saw the watchdog reap + replace a
-#            wedged worker — and a fixed-seed rollout
-#            smoke (chaos_soak) validating the hot-swap/canary/rollback and
-#            self-healing (stall/leak) invariants and report JSON, and
-#            the benchmark's own tests (perfbench/tests: smoke runs of
-#            every workload, traced and untraced, with all correctness
-#            gates), and kernels_check in a -DBIGCITY_NATIVE_ARCH=ON build:
+#            more packings than live ones per weight version), that
+#            autograd-free forwards started from cached instruction K/V
+#            (hits, and no more fills than live entries per weight
+#            version), and that the hang-injection section saw the
+#            watchdog reap + replace a wedged worker — and a fixed-seed
+#            rollout smoke (chaos_soak) validating the hot-swap/canary/
+#            rollback and self-healing (stall/leak) invariants and report
+#            JSON, and the benchmark's own tests (perfbench/tests: smoke
+#            runs of every workload, traced and untraced, with all
+#            correctness gates), and kernels_check in a -DBIGCITY_NATIVE_ARCH=ON build:
 #            under -march=native the compiler could contract a scalar tail's
 #            multiply-add into an FMA, and the transcendental loops'
 #            same-bits-in-every-lane contract must hold there too. Artifact
@@ -32,7 +36,8 @@
 #            and a short rollout smoke whose schedule includes the
 #            leak-site memory-pressure scenario.
 #   tsan     RelWithDebInfo build with TSan running the serve_check suite
-#            (server, batcher, KV session store, thread pool, watchdog)
+#            (server, batcher, KV session store, thread pool, watchdog, and
+#            four threads filling one backbone's instruction K/V at once)
 #            and the packed-weight suite (four threads racing to pack one
 #            shared model's weights on their first forwards),
 #            plus a short batched serve smoke — the batching engine's
@@ -171,6 +176,10 @@ run_release() {
   cmake --build build-ci-release -j"$PAR"
   log "release: full test suite"
   ctest --test-dir build-ci-release --output-on-failure -j"$PAR"
+  log "release: parity suites on the naive GEMM oracle (BIGCITY_GEMM=naive)"
+  BIGCITY_GEMM=naive ctest --test-dir build-ci-release --output-on-failure \
+    -j"$PAR" \
+    -R '^(batch_test|core_test|serve_test|plan_test|watchdog_test|packed_weight_test)$'
   log "release: format check"
   cmake --build build-ci-release --target format_check
   log "release: CLI train smoke (--threads 2, obs outputs)"

@@ -81,10 +81,24 @@ def validate_serve(d):
     weights = int(gauges["kernels.pack.live_packings"])
     packings = counters["kernels.pack.packings"]
     assert 0 < packings <= weights * versions, (packings, weights, versions)
+    # Autograd-free forwards start from each instruction's cached K/V
+    # (DESIGN.md §4.3): the replay read entries, and it filled each entry
+    # once per weight version served. The bound is the entries still alive
+    # at the end (a model keeps one per distinct instruction and replaces a
+    # stale one in place), a count that refilling on every request does not
+    # raise.
+    kv_hits = counters.get("core.instruction_kv.hit", 0)
+    kv_fills = counters.get("core.instruction_kv.fill", 0)
+    kv_entries = int(gauges.get("core.instruction_kv.live", 0))
+    assert kv_hits > 0, counters
+    assert 0 < kv_fills <= kv_entries * versions, (kv_fills, kv_entries,
+                                                   versions)
     print(f"serve json validation ok: {len(levels)} load levels + reload, "
           f"mean batch size {batch_size['sum'] / batch_size['count']:.2f}, "
           f"{prepacked} prepacked GEMMs, {packings} packings of "
-          f"{weights} live packed weights x {versions} version(s)")
+          f"{weights} live packed weights x {versions} version(s), "
+          f"{kv_hits} instruction K/V hits, {kv_fills} fills of "
+          f"{kv_entries} live entries")
 
 
 def validate_rollout(d):

@@ -1,14 +1,46 @@
 #include "core/backbone.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "core/task.h"
+#include "nn/arena.h"
 #include "nn/kernels/fused.h"
 #include "nn/ops.h"
+#include "obs/obs.h"
 #include "util/check.h"
 
 namespace bigcity::core {
 
 using nn::Tensor;
+
+/// Per-layer keys/values of one instruction's rows, with what they were
+/// computed from. Immutable once filled; caches seeded from it share its
+/// tensors by handle.
+struct Backbone::InstructionKv {
+  std::vector<int> text_ids;
+  std::vector<nn::AttentionKv> layers;
+  /// Module::RegistrationCount() and every backbone parameter's write
+  /// count at fill time. The entry is valid while all of them still hold.
+  uint64_t registrations = 0;
+  std::vector<std::pair<const nn::PackedWeight*, uint64_t>> versions;
+
+  InstructionKv() { BIGCITY_GAUGE_ADD("core.instruction_kv.live", 1); }
+  ~InstructionKv() { BIGCITY_GAUGE_ADD("core.instruction_kv.live", -1); }
+  InstructionKv(const InstructionKv&) = delete;
+  InstructionKv& operator=(const InstructionKv&) = delete;
+
+  bool Fresh() const {
+    if (registrations != nn::Module::RegistrationCount()) return false;
+    for (const auto& [weight, version] : versions) {
+      if (weight->version.load(std::memory_order_relaxed) != version) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
 
 Backbone::Backbone(int text_vocab_size, const BigCityConfig& config,
                    util::Rng* rng)
@@ -76,6 +108,10 @@ Tensor Backbone::AssembleInput(const PromptInput& prompt, int64_t* text_len,
 }
 
 BackboneOutput Backbone::Forward(const PromptInput& prompt) const {
+  nn::KvCache local;
+  if (nn::KvCache* cache = SeedInstructionKv(prompt, nullptr, &local)) {
+    return ForwardCached(prompt, cache);
+  }
   int64_t text_len = 0, st_len = 0;
   Tensor input = AssembleInput(prompt, &text_len, &st_len);
   const int64_t total = input.shape()[0];
@@ -97,6 +133,14 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
     const std::vector<nn::KvCache*>* caches) const {
   BIGCITY_CHECK(!prompts.empty());
   if (caches != nullptr) BIGCITY_CHECK_EQ(caches->size(), prompts.size());
+  // Members without a prefix start from their instruction's K/V; a member
+  // the caller gave no cache gets a local one.
+  std::vector<nn::KvCache> local(prompts.size());
+  std::vector<nn::KvCache*> seeded(prompts.size());
+  for (size_t i = 0; i < prompts.size(); ++i) {
+    seeded[i] = SeedInstructionKv(
+        prompts[i], caches != nullptr ? (*caches)[i] : nullptr, &local[i]);
+  }
   struct Layout {
     int64_t text_len, st_len, num_task, total, cached;
   };
@@ -117,9 +161,7 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
     // whole. Positions are added per sequence before slicing (elementwise,
     // so batching-neutral); the concatenated rows then share every
     // row-wise layer downstream.
-    layout.cached =
-        caches != nullptr && (*caches)[i] != nullptr ? (*caches)[i]->length()
-                                                     : 0;
+    layout.cached = seeded[i] != nullptr ? seeded[i]->length() : 0;
     BIGCITY_CHECK_LT(layout.cached, layout.total)
         << "KV cache already covers the whole prompt; truncate it first";
     BIGCITY_CHECK_LE(layout.num_task, layout.total - layout.cached)
@@ -133,7 +175,7 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
     layouts.push_back(layout);
   }
   Tensor tall = inputs.size() == 1 ? inputs[0] : nn::Concat(inputs, 0);
-  Tensor hidden = transformer_->ForwardBatched(tall, lens, caches);
+  Tensor hidden = transformer_->ForwardBatched(tall, lens, &seeded);
 
   std::vector<BackboneOutput> outputs;
   outputs.reserve(prompts.size());
@@ -141,10 +183,10 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
   for (const Layout& layout : layouts) {
     const int64_t suffix_len = layout.total - layout.cached;
     BackboneOutput output;
-    if (layout.cached == 0) {
+    if (layout.cached <= layout.text_len) {
+      const int64_t st_begin = off + layout.text_len - layout.cached;
       output.st_outputs =
-          nn::SliceRows(hidden, off + layout.text_len,
-                        off + layout.text_len + layout.st_len);
+          nn::SliceRows(hidden, st_begin, st_begin + layout.st_len);
     }
     if (layout.num_task > 0) {
       output.task_outputs = nn::SliceRows(
@@ -159,6 +201,7 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
 BackboneOutput Backbone::ForwardCached(const PromptInput& prompt,
                                        nn::KvCache* cache) const {
   BIGCITY_CHECK(cache != nullptr);
+  SeedInstructionKv(prompt, cache, nullptr);
   int64_t text_len = 0, st_len = 0;
   Tensor input = AssembleInput(prompt, &text_len, &st_len);
   const int64_t total = input.shape()[0];
@@ -174,14 +217,76 @@ BackboneOutput Backbone::ForwardCached(const PromptInput& prompt,
   BIGCITY_CHECK_LE(num_task, suffix_len)
       << "task placeholders must lie in the uncached suffix";
   BackboneOutput output;
-  if (cached == 0) {
-    output.st_outputs = nn::SliceRows(hidden, text_len, text_len + st_len);
+  if (cached <= text_len) {
+    output.st_outputs = nn::SliceRows(hidden, text_len - cached,
+                                      text_len - cached + st_len);
   }
   if (num_task > 0) {
     output.task_outputs =
         nn::SliceRows(hidden, suffix_len - num_task, suffix_len);
   }
   return output;
+}
+
+nn::KvCache* Backbone::SeedInstructionKv(const PromptInput& prompt,
+                                         nn::KvCache* cache,
+                                         nn::KvCache* local) const {
+  if (nn::GradEnabled() || prompt.text_ids.empty() ||
+      (cache != nullptr && cache->length() > 0)) {
+    return cache;
+  }
+  std::shared_ptr<const InstructionKv> entry;
+  {
+    std::lock_guard<std::mutex> lock(instruction_kv_mu_);
+    auto it = std::find_if(
+        instruction_kv_.begin(), instruction_kv_.end(),
+        [&](const auto& e) { return e->text_ids == prompt.text_ids; });
+    if (it != instruction_kv_.end() && (*it)->Fresh()) {
+      BIGCITY_COUNTER_INC("core.instruction_kv.hit");
+      entry = *it;
+    } else {
+      // Filled under the lock, so concurrent first forwards fill once.
+      BIGCITY_COUNTER_INC("core.instruction_kv.fill");
+      entry = FillInstructionKv(prompt.text_ids);
+      if (it != instruction_kv_.end()) {
+        *it = entry;
+      } else {
+        if (instruction_kv_.size() >= static_cast<size_t>(kNumTasks)) {
+          instruction_kv_.erase(instruction_kv_.begin());
+        }
+        instruction_kv_.push_back(entry);
+      }
+    }
+  }
+  nn::KvCache* seeded = cache != nullptr ? cache : local;
+  seeded->layers = entry->layers;
+  return seeded;
+}
+
+std::shared_ptr<const Backbone::InstructionKv> Backbone::FillInstructionKv(
+    const std::vector<int>& text_ids) const {
+  // Graph-free and heap-held: the entry outlives the request or plan step
+  // that fills it (DESIGN.md §4.13).
+  nn::NoGradGuard no_grad;
+  nn::ArenaPin pin;
+  auto entry = std::make_shared<InstructionKv>();
+  entry->text_ids = text_ids;
+  entry->registrations = nn::Module::RegistrationCount();
+  for (const Tensor& p : Parameters()) {
+    const nn::PackedWeight* weight = p.impl()->packed.get();
+    entry->versions.emplace_back(
+        weight, weight->version.load(std::memory_order_relaxed));
+  }
+  // The instruction rows exactly as a whole-prompt forward embeds them:
+  // rows [0, T) of AssembleInput plus positions [0, T).
+  const auto len = static_cast<int64_t>(text_ids.size());
+  nn::KvCache kv;
+  transformer_->ForwardCached(
+      nn::Add(text_embedding_->Forward(text_ids),
+              nn::SliceRows(positional_, 0, len)),
+      &kv);
+  entry->layers = std::move(kv.layers);
+  return entry;
 }
 
 Tensor Backbone::TextLmLogits(const std::vector<int>& text_ids) const {

@@ -2,6 +2,7 @@
 #define BIGCITY_CORE_BACKBONE_H_
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/config.h"
@@ -36,6 +37,15 @@ struct BackboneOutput {
 /// [REG], [MASK] token vectors. LoRA adapters attach to Wq/Wk/Wv and the
 /// FFN of each block; after pre-training the base weights freeze and only
 /// the adapters (plus placeholder vectors) train.
+///
+/// Instruction K/V (DESIGN.md §4.3): a prompt's leading instruction rows
+/// see only themselves (causal attention, absolute positions), so their
+/// per-layer keys and values depend on the weights alone. The backbone
+/// computes them once per distinct instruction and weight version, and an
+/// autograd-free forward whose cache is null or empty starts from them:
+/// only the rows after the instruction run through the transformer, with
+/// bit-identical outputs. Forwards with autograd on always run the whole
+/// prompt. Safe for concurrent autograd-free forwards on one model.
 class Backbone : public nn::Module {
  public:
   Backbone(int text_vocab_size, const BigCityConfig& config, util::Rng* rng);
@@ -51,8 +61,10 @@ class Backbone : public nn::Module {
   /// state — a batched prefill for later extension decodes — while a
   /// non-null cache that already holds a (truncated-to-shared) prefix
   /// makes that prompt decode only its suffix rows against the cached
-  /// state, batched alongside the others. st_outputs is only populated
-  /// for sequences decoded from row 0.
+  /// state, batched alongside the others. st_outputs is populated for a
+  /// sequence whose cache ended inside its instruction (an empty cache, or
+  /// one seeded with the instruction K/V), and left invalid when the cache
+  /// covered ST rows.
   std::vector<BackboneOutput> ForwardBatched(
       const std::vector<PromptInput>& prompts,
       const std::vector<nn::KvCache*>* caches = nullptr) const;
@@ -62,8 +74,8 @@ class Backbone : public nn::Module {
   /// previous ForwardCached over a prompt sharing that prefix; the caller
   /// guarantees the prefix tokens are identical, truncating the cache
   /// first if needed). Only the suffix rows run through the transformer.
-  /// task_outputs is bit-identical to Forward(); st_outputs is only
-  /// populated when the cache started empty.
+  /// task_outputs is bit-identical to Forward(); st_outputs is populated
+  /// under ForwardBatched's rule (the cache ended inside the instruction).
   BackboneOutput ForwardCached(const PromptInput& prompt,
                                nn::KvCache* cache) const;
 
@@ -86,6 +98,19 @@ class Backbone : public nn::Module {
   nn::Tensor AssembleInput(const PromptInput& prompt, int64_t* text_len,
                            int64_t* st_len) const;
 
+  struct InstructionKv;
+  /// The cache a forward over `prompt` runs with. When autograd is off,
+  /// the prompt has an instruction and `cache` is null or empty, the
+  /// instruction's K/V seed `cache` (or `local` when `cache` is null),
+  /// which is returned; otherwise `cache` itself.
+  nn::KvCache* SeedInstructionKv(const PromptInput& prompt,
+                                 nn::KvCache* cache,
+                                 nn::KvCache* local) const;
+  /// Computes the K/V of the instruction rows `text_ids`, recording the
+  /// parameter write counts they depend on.
+  std::shared_ptr<const InstructionKv> FillInstructionKv(
+      const std::vector<int>& text_ids) const;
+
   BigCityConfig config_;
   std::unique_ptr<nn::EmbeddingTable> text_embedding_;
   nn::Tensor positional_;   // [max_sequence, d_model].
@@ -93,6 +118,11 @@ class Backbone : public nn::Module {
   nn::Tensor clas_token_;   // [1, d_model].
   nn::Tensor reg_token_;
   nn::Tensor mask_token_;
+
+  /// At most one entry per distinct instruction; a stale entry is
+  /// replaced by the next fill.
+  mutable std::mutex instruction_kv_mu_;
+  mutable std::vector<std::shared_ptr<const InstructionKv>> instruction_kv_;
 };
 
 }  // namespace bigcity::core

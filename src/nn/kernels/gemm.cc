@@ -407,21 +407,6 @@ GemmBackend g_backend = DefaultBackend();
 
 // --- Packing store -----------------------------------------------------------
 
-/// Adds a made (+1, +bytes) or freed (-1, -bytes) packing to the
-/// kernels.pack.live_packings / live_bytes gauges. One lock orders the
-/// updates, so the last value set is the current total.
-void PublishLive(int64_t packings, int64_t bytes) {
-  // Leaked: packings may be freed during static destruction.
-  static std::mutex* mu = new std::mutex();
-  [[maybe_unused]] static int64_t live_packings = 0;
-  [[maybe_unused]] static int64_t live_bytes = 0;
-  std::lock_guard<std::mutex> lock(*mu);
-  live_packings += packings;
-  live_bytes += bytes;
-  BIGCITY_GAUGE_SET("kernels.pack.live_packings", live_packings);
-  BIGCITY_GAUGE_SET("kernels.pack.live_bytes", live_bytes);
-}
-
 /// 64-bit hash of a float buffer's bytes, eight at a time. Each step
 /// ((h ^ w) * odd, then an xor-shift) is a bijection of h for a fixed w, so
 /// two equal-length buffers that differ in exactly one word (one flipped
@@ -525,12 +510,14 @@ PackedB::PackedB(const float* b, int64_t k, int64_t m)
             panels_ + PanelOffset(k, m, jc, pc));
     }
   }
-  PublishLive(1, static_cast<int64_t>(bytes_));
+  BIGCITY_GAUGE_ADD("kernels.pack.live_packings", 1);
+  BIGCITY_GAUGE_ADD("kernels.pack.live_bytes", bytes_);
 }
 
 PackedB::~PackedB() {
   munmap(panels_, bytes_);
-  PublishLive(-1, -static_cast<int64_t>(bytes_));
+  BIGCITY_GAUGE_ADD("kernels.pack.live_packings", -1);
+  BIGCITY_GAUGE_ADD("kernels.pack.live_bytes", -static_cast<double>(bytes_));
 }
 
 const float* PackedB::Panel(int64_t jc, int64_t pc) const {

@@ -1,10 +1,16 @@
 #include "nn/module.h"
 
+#include <atomic>
+
 #include "util/check.h"
 #include "util/checkpoint.h"
 #include "util/io.h"
 
 namespace bigcity::nn {
+
+namespace {
+std::atomic<uint64_t> g_registrations{0};
+}  // namespace
 
 std::vector<Tensor> Module::Parameters() const {
   std::vector<Tensor> result;
@@ -110,8 +116,13 @@ void Module::CopyStateFrom(const Module& other) {
   }
 }
 
+uint64_t Module::RegistrationCount() {
+  return g_registrations.load(std::memory_order_relaxed);
+}
+
 Tensor Module::RegisterParameter(std::string name, Tensor parameter) {
   BIGCITY_CHECK(parameter.is_valid());
+  g_registrations.fetch_add(1, std::memory_order_relaxed);
   // The mark that lets forward GEMMs cache this tensor's packing.
   TensorImpl& impl = *parameter.impl();
   if (impl.packed == nullptr) impl.packed = std::make_unique<PackedWeight>();

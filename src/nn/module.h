@@ -58,6 +58,12 @@ class Module {
   /// parameter tree (shape-checked).
   void CopyStateFrom(const Module& other);
 
+  /// Process-wide number of RegisterParameter calls so far. A cache of
+  /// values computed from a module tree's parameters records it to notice
+  /// parameters added after the fill (LoraLinear::EnableLora) without
+  /// walking the tree.
+  static uint64_t RegistrationCount();
+
  protected:
   /// Registers a parameter tensor under this module; returns it for
   /// convenient member initialization.

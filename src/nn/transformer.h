@@ -56,6 +56,8 @@ class TransformerBlock : public Module {
   void FreezeBase();
   bool lora_enabled() const;
 
+  MultiHeadSelfAttention* attn() { return attn_.get(); }
+
  private:
   std::unique_ptr<LayerNormLayer> ln1_;
   std::unique_ptr<MultiHeadSelfAttention> attn_;

@@ -41,6 +41,15 @@ void Gauge::Set(double value) {
   bits_.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
 }
 
+void Gauge::Add(double delta) {
+  uint64_t observed = bits_.load(std::memory_order_relaxed);
+  while (!bits_.compare_exchange_weak(
+      observed,
+      std::bit_cast<uint64_t>(std::bit_cast<double>(observed) + delta),
+      std::memory_order_relaxed)) {
+  }
+}
+
 double Gauge::Value() const {
   return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
 }

@@ -48,6 +48,9 @@ class Counter {
 class Gauge {
  public:
   void Set(double value);
+  /// Atomically adds `delta`: a count of live objects kept by +1 / -1 from
+  /// any thread, with no second copy of the total.
+  void Add(double delta);
   double Value() const;
   void Reset() { Set(0.0); }
 

@@ -53,6 +53,16 @@
         ->Set(static_cast<double>(value));                                 \
   } while (0)
 
+/// Adds `delta` to gauge `name` (a live count's +1 / -1).
+#define BIGCITY_GAUGE_ADD(name, delta)                                     \
+  do {                                                                     \
+    static ::bigcity::obs::Gauge* const BIGCITY_OBS_CONCAT_(obs_gauge_,    \
+                                                            __LINE__) =    \
+        ::bigcity::obs::MetricsRegistry::Global().GetGauge(name);          \
+    BIGCITY_OBS_CONCAT_(obs_gauge_, __LINE__)                              \
+        ->Add(static_cast<double>(delta));                                 \
+  } while (0)
+
 /// Records `value` into histogram `name` (default latency buckets).
 #define BIGCITY_HISTOGRAM_RECORD(name, value)                              \
   do {                                                                     \
@@ -116,6 +126,9 @@
   do {                            \
   } while (0)
 #define BIGCITY_GAUGE_SET(name, value) \
+  do {                                 \
+  } while (0)
+#define BIGCITY_GAUGE_ADD(name, delta) \
   do {                                 \
   } while (0)
 #define BIGCITY_HISTOGRAM_RECORD(name, value) \

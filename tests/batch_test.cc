@@ -3,13 +3,22 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <latch>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/bigcity_model.h"
 #include "core/st_tokenizer.h"
+#include "core/task.h"
 #include "data/dataset.h"
+#include "nn/kernels/kernels.h"
+#include "nn/ops.h"
+#include "nn/optim.h"
+#include "nn/plan.h"
 #include "nn/tensor.h"
 #include "nn/transformer.h"
 #include "obs/metrics.h"
@@ -218,6 +227,288 @@ TEST_F(BatchTest, BatchedCachedDecodeMixedBatchBitIdentical) {
   nn::Tensor extended =
       model_->NextHopLogitsCached(Prefix(full, 3), &cache_c);
   ExpectBitIdentical(extended, model_->NextHopLogits(Prefix(full, 3)));
+}
+
+// --- Instruction K/V (DESIGN.md §4.3) ----------------------------------------
+//
+// An autograd-free forward starts from the instruction rows' cached K/V; a
+// forward with autograd on runs the whole prompt. The two must agree bit
+// for bit on every entry point, and the cached K/V must follow every change
+// to the weights.
+
+using NamedOutputs = std::vector<std::pair<std::string, nn::Tensor>>;
+
+/// Every inference entry point on fixed inputs, in a fixed order: the Try*
+/// call of each of the eight tasks, batched next-hop with no caches, null
+/// entries, empty caches and caches populated by shorter prefixes, batched
+/// TTE and traffic, and a single KV-cached decode from empty and populated.
+NamedOutputs RunEveryEntryPoint(core::BigCityModel* model,
+                                const data::Trajectory& full) {
+  NamedOutputs out;
+  auto add = [&](const std::string& name, util::Result<nn::Tensor> result) {
+    EXPECT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    out.emplace_back(name, result.ok() ? result.value() : nn::Tensor());
+  };
+  auto add_all = [&](const std::string& name,
+                     util::Result<std::vector<nn::Tensor>> result) {
+    EXPECT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    if (!result.ok()) return;
+    for (size_t i = 0; i < result.value().size(); ++i) {
+      out.emplace_back(name + " #" + std::to_string(i), result.value()[i]);
+    }
+  };
+  auto prefix = [&](int length) {
+    data::Trajectory p = full;
+    p.points.resize(static_cast<size_t>(length));
+    return p;
+  };
+  const data::Trajectory trajectory = prefix(8);
+  add("next-hop", model->TryNextHopLogits(trajectory));
+  add("classify", model->TryClassifyLogits(trajectory));
+  add("tte", model->TryTravelTimeDeltas(trajectory));
+  add("embed", model->TryEmbed(trajectory));
+  add("recover", model->TryRecoverLogits(trajectory, {0, 2, 5, 7}));
+  add("traffic one-step", model->TryPredictTraffic(1, 3, 1));
+  add("traffic multi-step", model->TryPredictTraffic(2, 5, 6));
+  add("impute", model->TryImputeTraffic(0, 4, 8, {1, 4, 6}));
+
+  const std::vector<data::Trajectory> prefixes = {prefix(2), prefix(5),
+                                                  prefix(3), prefix(7)};
+  add_all("batched next-hop, no caches",
+          model->TryBatchNextHopLogits(prefixes));
+  std::vector<nn::KvCache*> null_entries(prefixes.size(), nullptr);
+  add_all("batched next-hop, null caches",
+          model->TryBatchNextHopLogits(prefixes, &null_entries));
+  std::vector<nn::KvCache> sessions(prefixes.size());
+  std::vector<nn::KvCache*> caches;
+  for (nn::KvCache& session : sessions) caches.push_back(&session);
+  add_all("batched next-hop, empty caches",
+          model->TryBatchNextHopLogits(prefixes, &caches));
+  // Each session now holds its prefix: extend every member, one by
+  // several points, and add a member with a fresh session.
+  std::vector<data::Trajectory> extended = {prefix(3), prefix(8), prefix(4),
+                                            prefix(8), prefix(6)};
+  nn::KvCache fresh;
+  caches.push_back(&fresh);
+  add_all("batched next-hop, populated caches",
+          model->TryBatchNextHopLogits(extended, &caches));
+  add_all("batched tte", model->TryBatchTravelTimeDeltas(prefixes));
+  add_all("batched traffic",
+          model->TryBatchPredictTraffic({{0, 0, 1}, {1, 2, 6}, {2, 1, 3}}));
+  nn::KvCache session;
+  add("cached next-hop, empty cache",
+      model->TryNextHopLogitsCached(prefix(4), &session));
+  add("cached next-hop, populated cache",
+      model->TryNextHopLogitsCached(prefix(6), &session));
+  return out;
+}
+
+void ExpectSameOutputs(const NamedOutputs& actual,
+                       const NamedOutputs& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    SCOPED_TRACE(expected[i].first);
+    ASSERT_EQ(actual[i].first, expected[i].first);
+    ExpectBitIdentical(actual[i].second, expected[i].second);
+  }
+}
+
+TEST_F(BatchTest, AutogradFreeForwardsMatchFullPromptForwards) {
+  const nn::kernels::GemmBackend saved_backend = nn::kernels::backend();
+  const int saved_threads = nn::kernels::NumThreads();
+  struct Setting {
+    const char* name;
+    nn::kernels::GemmBackend backend;
+    int threads;
+  };
+  for (const Setting& setting :
+       {Setting{"blocked, 1 thread", nn::kernels::GemmBackend::kBlocked, 1},
+        Setting{"blocked, 4 threads", nn::kernels::GemmBackend::kBlocked, 4},
+        Setting{"naive", nn::kernels::GemmBackend::kNaive, 1}}) {
+    SCOPED_TRACE(setting.name);
+    nn::kernels::SetBackend(setting.backend);
+    nn::kernels::SetNumThreads(setting.threads);
+    // A fresh model per setting, so every setting makes its own fills.
+    core::BigCityModel model(dataset_, model_config_);
+    const NamedOutputs full_prompt =
+        RunEveryEntryPoint(&model, AnyTrajectory(8));
+    const uint64_t fills = CounterValue("core.instruction_kv.fill");
+    const uint64_t hits = CounterValue("core.instruction_kv.hit");
+    NamedOutputs seeded;
+    {
+      nn::NoGradGuard no_grad;
+      seeded = RunEveryEntryPoint(&model, AnyTrajectory(8));
+    }
+    ExpectSameOutputs(seeded, full_prompt);
+#if BIGCITY_OBS
+    // One fill per task instruction; every other seed reads an entry.
+    EXPECT_EQ(CounterValue("core.instruction_kv.fill"),
+              fills + static_cast<uint64_t>(core::kNumTasks));
+    EXPECT_GT(CounterValue("core.instruction_kv.hit"), hits);
+#else
+    (void)fills;
+    (void)hits;
+#endif
+  }
+  nn::kernels::SetBackend(saved_backend);
+  nn::kernels::SetNumThreads(saved_threads);
+}
+
+/// The named parameter of `module`, which must exist.
+nn::Tensor ParameterNamed(const nn::Module& module, const std::string& name) {
+  for (const auto& [parameter_name, parameter] : module.NamedParameters()) {
+    if (parameter_name == name) return parameter;
+  }
+  ADD_FAILURE() << "no parameter " << name;
+  return nn::Tensor();
+}
+
+TEST_F(BatchTest, InstructionKvFollowsEveryWeightChange) {
+  core::BigCityConfig config = model_config_;
+  config.lora_rate = 0.5;  // LoRA on block 0 only.
+  core::BigCityModel model(dataset_, config);
+  model.tokenizer()->SetTrainable(false);  // Keeps its library graph-free.
+  util::Rng lora_rng(3);
+  core::Backbone* backbone = model.backbone();
+  backbone->EnableLora(&lora_rng);
+  backbone->FreezeBase();
+  const data::Trajectory trajectory = Prefix(AnyTrajectory(6), 6);
+  auto autograd_free = [&] {
+    nn::NoGradGuard no_grad;
+    return model.TryNextHopLogits(trajectory).value();
+  };
+  auto full_prompt = [&] { return model.NextHopLogits(trajectory); };
+  nn::Tensor previous = autograd_free();  // The fill.
+  ExpectBitIdentical(previous, full_prompt());
+  auto expect_followed = [&](const char* change) {
+    SCOPED_TRACE(change);
+    const nn::Tensor now = autograd_free();
+    ExpectBitIdentical(now, full_prompt());
+    // The change moved the output, so a stale entry would show.
+    EXPECT_NE(std::memcmp(now.data().data(), previous.data().data(),
+                          now.data().size() * sizeof(float)),
+              0);
+    previous = now;
+  };
+
+  core::BigCityConfig other_config = config;
+  other_config.seed = config.seed + 1;
+  core::BigCityModel other(dataset_, other_config);
+  util::Rng other_lora_rng(4);
+  other.backbone()->EnableLora(&other_lora_rng);
+  std::stringstream state;
+  other.backbone()->SaveState(state);
+  ASSERT_TRUE(backbone->LoadState(state).ok());
+  expect_followed("LoadState");
+
+  other_config.seed = config.seed + 2;
+  core::BigCityModel third(dataset_, other_config);
+  util::Rng third_lora_rng(5);
+  third.backbone()->EnableLora(&third_lora_rng);
+  backbone->CopyStateFrom(*third.backbone());
+  expect_followed("CopyStateFrom");
+
+  nn::Adam adam(backbone->TrainableParameters(), /*lr=*/0.05f);
+  nn::Tensor loss = nn::Sum(model.NextHopLogits(trajectory));
+  loss.Backward();
+  adam.Step();
+  model.EndStep();
+  expect_followed("Adam step on LoRA");
+
+  nn::Tensor positional = ParameterNamed(*backbone, "positional");
+  positional.data()[1] += 0.25f;  // An instruction row's position.
+  expect_followed("direct data() write");
+
+  backbone->transformer()->block(0)->attn()->wk()->DisableLora();
+  expect_followed("DisableLora");
+
+  // A block gains adapters without Backbone::EnableLora and without a
+  // write to any existing parameter; its new lora_b starts at zero, so the
+  // output holds until that is written.
+  util::Rng block_rng(6);
+  backbone->transformer()->block(1)->EnableLora(config.lora_rank,
+                                                config.lora_alpha, &block_rng);
+  ExpectBitIdentical(autograd_free(), full_prompt());
+  nn::Tensor lora_b =
+      ParameterNamed(*backbone, "transformer.block1.attn.wk.lora_b");
+  for (float& value : lora_b.data()) value = 0.1f;
+  expect_followed("EnableLora on a block, then a write to its lora_b");
+}
+
+TEST_F(BatchTest, InstructionKvFilledInPlanScopeOutlivesTheArena) {
+  core::BigCityModel model(dataset_, model_config_);
+  const data::Trajectory trajectory = Prefix(AnyTrajectory(6), 6);
+  const nn::Tensor expected = model.NextHopLogits(trajectory);
+  model.BeginStep();
+  nn::PlanCache plans(/*capacity=*/2, /*enabled=*/true);
+  // Pass 0 fills the entry inside the scope; the scope's arena rewinds
+  // before passes 1 and 2 read it. Under ASan the arena hands out real
+  // heap blocks, so an entry left in the arena is a reported use after
+  // free.
+  for (int pass = 0; pass < 3; ++pass) {
+    SCOPED_TRACE(pass);
+    nn::Tensor out;
+    {
+      nn::NoGradGuard no_grad;
+      nn::PlanScope scope(&plans, {"next_hop", 64});
+      ASSERT_TRUE(scope.active());
+      util::Result<nn::Tensor> result = model.TryNextHopLogits(trajectory);
+      ASSERT_TRUE(result.ok());
+      nn::ArenaPin pin;
+      out = result.value().Detached();
+    }
+    ExpectBitIdentical(out, expected);
+  }
+  EXPECT_EQ(plans.poisoned_resets(), 0u);
+}
+
+/// Four threads make the first autograd-free forwards of one backbone at
+/// once: two share an instruction and race to fill it, two fill others.
+/// Run under TSan by ci/run_ci.sh tsan (serve_check).
+TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
+  core::BigCityModel model(dataset_, model_config_);
+  constexpr int kThreads = 4;
+  const core::Task tasks[kThreads] = {
+      core::Task::kNextHop, core::Task::kNextHop,
+      core::Task::kTrajClassification, core::Task::kTravelTimeEstimation};
+  std::vector<core::PromptInput> prompts;
+  {
+    nn::NoGradGuard no_grad;
+    for (int t = 0; t < kThreads; ++t) {
+      core::PromptInput prompt;
+      prompt.text_ids = model.text_tokenizer().Encode(
+          core::InstructionFor(tasks[t]));
+      prompt.st_tokens = model.tokenizer()->Tokenize(
+          data::StUnitSequence::FromTrajectory(Prefix(AnyTrajectory(8),
+                                                      3 + t)));
+      prompt.task_tokens = {core::TaskTokenKind::kClas};
+      prompts.push_back(std::move(prompt));
+    }
+  }
+  std::vector<nn::Tensor> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      nn::NoGradGuard no_grad;
+      start.arrive_and_wait();
+      concurrent[static_cast<size_t>(t)] =
+          model.backbone()->Forward(prompts[static_cast<size_t>(t)])
+              .task_outputs;
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(t);
+    const core::PromptInput& prompt = prompts[static_cast<size_t>(t)];
+    {
+      nn::NoGradGuard no_grad;
+      ExpectBitIdentical(concurrent[static_cast<size_t>(t)],
+                         model.backbone()->Forward(prompt).task_outputs);
+    }
+    ExpectBitIdentical(concurrent[static_cast<size_t>(t)],
+                       model.backbone()->Forward(prompt).task_outputs);
+  }
 }
 
 // --- Shared tokenizer representation cache ----------------------------------

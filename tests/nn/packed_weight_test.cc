@@ -30,12 +30,15 @@
 namespace bigcity::nn {
 namespace {
 
-/// Restores the process-global backend + thread count after each test.
+/// Runs each test on the blocked backend, whose packing these tests are
+/// about (kernels_test covers the naive branch), whatever BIGCITY_GEMM
+/// selects, and restores the process-global backend + thread count after.
 class PackedWeightTest : public ::testing::Test {
  protected:
   void SetUp() override {
     saved_backend_ = kernels::backend();
     saved_threads_ = kernels::NumThreads();
+    kernels::SetBackend(kernels::GemmBackend::kBlocked);
   }
   void TearDown() override {
     kernels::SetBackend(saved_backend_);
@@ -263,6 +266,7 @@ TEST_F(PackedWeightTest, PackingDiesWithItsLastHolder) {
   ASSERT_EQ(PanelsOf(first->weight()), PanelsOf(second->weight()));
   const std::weak_ptr<const kernels::PackedB> packing =
       first->weight().impl()->packed->panels;
+  ASSERT_NE(packing.lock(), nullptr);
   ExpectGaugeDelta("kernels.pack.live_bytes", live_bytes,
                    static_cast<double>(packing.lock()->bytes()));
   first.reset();

@@ -51,6 +51,19 @@ TEST(GaugeTest, LastWriteWins) {
   EXPECT_EQ(gauge.Value(), 0.0);
 }
 
+TEST(GaugeTest, AddAccumulatesAcrossThreads) {
+  Gauge gauge;
+  gauge.Set(3.0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&gauge, t] {
+      for (int i = 0; i < 1000; ++i) gauge.Add(t % 2 == 0 ? 2.0 : -1.0);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(gauge.Value(), 3.0 + 2 * 2000.0 - 2 * 1000.0);
+}
+
 TEST(HistogramTest, BucketsCountSumMean) {
   Histogram histogram({1.0, 10.0, 100.0});
   histogram.Record(0.5);    // <= 1
