@@ -4,7 +4,7 @@
 // shed rate per load level, plus
 //   - a batching A/B: an autoregressive walk workload (clients decode
 //     trajectories hop by hop) at the same three load levels against a
-//     batching-off server (no batcher, no tokenizer rep cache, no KV
+//     batching-off server (batch max 1, no tokenizer rep cache, no KV
 //     sessions) and a batching-on server (DESIGN.md §4.14), both with a
 //     deadline and a queue wide enough to admit the whole closed loop,
 //     reporting the 4x-load throughput ratio and the mean batch size, and
@@ -335,8 +335,7 @@ int main(int argc, char** argv) {
   serve::ServeOptions options;
   options.num_workers = workers;
   options.queue_capacity = workers;  // Tight bound: overload must shed.
-  options.batching = batching;
-  options.batch_max = batch_max;
+  options.batch_max = batching ? batch_max : 1;
   options.batch_window_us = batch_window_us;
   serve::InferenceServer server(&dataset, model_config, options);
   if (auto status = server.Start(); !status.ok()) {
@@ -355,8 +354,8 @@ int main(int argc, char** argv) {
 
   // --- Batching A/B ------------------------------------------------------
   // An autoregressive closed loop (clients decode trajectories hop by
-  // hop), twice: once against the pre-batching runtime shape (no batcher,
-  // no shared tokenizer cache, no KV sessions) and once with the
+  // hop), twice: once against the pre-batching runtime shape (batches of
+  // one, no shared tokenizer cache, no KV sessions) and once with the
   // continuous-batching engine (batched prefill + KV extension decodes).
   // Both arms get the serving deadline and a queue wide enough to admit
   // every 4x client, so the only variable is the engine — the headline
@@ -381,13 +380,13 @@ int main(int argc, char** argv) {
   for (int arm = 0; arm < 2; ++arm) {
     serve::ServeOptions arm_options = ab_options;
     const bool arm_batching = arm == 1;
-    arm_options.batching = arm_batching;
     if (arm_batching) {
       // Every 4x client's walk may land on any worker; size each worker's
       // session store to hold them all.
       arm_options.kv_sessions = std::max(arm_options.kv_sessions,
                                          4 * workers);
     } else {
+      arm_options.batch_max = 1;
       arm_options.tokenizer_cache_slices = 0;
       arm_options.kv_sessions = 0;
     }

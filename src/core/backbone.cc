@@ -108,38 +108,21 @@ Tensor Backbone::AssembleInput(const PromptInput& prompt, int64_t* text_len,
 }
 
 BackboneOutput Backbone::Forward(const PromptInput& prompt) const {
-  nn::KvCache local;
-  if (nn::KvCache* cache = SeedInstructionKv(prompt, nullptr, &local)) {
-    return ForwardCached(prompt, cache);
-  }
-  int64_t text_len = 0, st_len = 0;
-  Tensor input = AssembleInput(prompt, &text_len, &st_len);
-  const int64_t total = input.shape()[0];
-  const int64_t num_task = static_cast<int64_t>(prompt.task_tokens.size());
-  Tensor positions = nn::SliceRows(positional_, 0, total);
-  Tensor hidden = transformer_->Forward(nn::Add(input, positions));
-
-  BackboneOutput output;
-  output.st_outputs = nn::SliceRows(hidden, text_len, text_len + st_len);
-  if (num_task > 0) {
-    output.task_outputs =
-        nn::SliceRows(hidden, total - num_task, total);
-  }
-  return output;
+  return ForwardBatched({prompt})[0];
 }
 
 std::vector<BackboneOutput> Backbone::ForwardBatched(
     const std::vector<PromptInput>& prompts,
-    const std::vector<nn::KvCache*>* caches) const {
+    const std::vector<nn::KvCache*>& caches) const {
   BIGCITY_CHECK(!prompts.empty());
-  if (caches != nullptr) BIGCITY_CHECK_EQ(caches->size(), prompts.size());
+  if (!caches.empty()) BIGCITY_CHECK_EQ(caches.size(), prompts.size());
   // Members without a prefix start from their instruction's K/V; a member
   // the caller gave no cache gets a local one.
   std::vector<nn::KvCache> local(prompts.size());
   std::vector<nn::KvCache*> seeded(prompts.size());
   for (size_t i = 0; i < prompts.size(); ++i) {
     seeded[i] = SeedInstructionKv(
-        prompts[i], caches != nullptr ? (*caches)[i] : nullptr, &local[i]);
+        prompts[i], caches.empty() ? nullptr : caches[i], &local[i]);
   }
   struct Layout {
     int64_t text_len, st_len, num_task, total, cached;
@@ -157,10 +140,10 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
     layout.num_task = static_cast<int64_t>(prompt.task_tokens.size());
     layout.total = input.shape()[0];
     // A sequence with a non-empty cache contributes only its uncached
-    // suffix rows (a batched ForwardCached decode); everything else rides
-    // whole. Positions are added per sequence before slicing (elementwise,
-    // so batching-neutral); the concatenated rows then share every
-    // row-wise layer downstream.
+    // suffix rows (a decode); everything else rides whole. Positions are
+    // added per sequence before slicing (elementwise, so
+    // batching-neutral); the concatenated rows then share every row-wise
+    // layer downstream.
     layout.cached = seeded[i] != nullptr ? seeded[i]->length() : 0;
     BIGCITY_CHECK_LT(layout.cached, layout.total)
         << "KV cache already covers the whole prompt; truncate it first";
@@ -175,7 +158,7 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
     layouts.push_back(layout);
   }
   Tensor tall = inputs.size() == 1 ? inputs[0] : nn::Concat(inputs, 0);
-  Tensor hidden = transformer_->ForwardBatched(tall, lens, &seeded);
+  Tensor hidden = transformer_->ForwardBatched(tall, lens, seeded);
 
   std::vector<BackboneOutput> outputs;
   outputs.reserve(prompts.size());
@@ -200,32 +183,7 @@ std::vector<BackboneOutput> Backbone::ForwardBatched(
 
 BackboneOutput Backbone::ForwardCached(const PromptInput& prompt,
                                        nn::KvCache* cache) const {
-  BIGCITY_CHECK(cache != nullptr);
-  SeedInstructionKv(prompt, cache, nullptr);
-  int64_t text_len = 0, st_len = 0;
-  Tensor input = AssembleInput(prompt, &text_len, &st_len);
-  const int64_t total = input.shape()[0];
-  const int64_t num_task = static_cast<int64_t>(prompt.task_tokens.size());
-  const int64_t cached = cache->length();
-  BIGCITY_CHECK_LT(cached, total)
-      << "KV cache already covers the whole prompt; truncate it first";
-  Tensor x = nn::Add(input, nn::SliceRows(positional_, 0, total));
-  Tensor suffix = cached > 0 ? nn::SliceRows(x, cached, total) : x;
-  Tensor hidden = transformer_->ForwardCached(suffix, cache);
-
-  const int64_t suffix_len = total - cached;
-  BIGCITY_CHECK_LE(num_task, suffix_len)
-      << "task placeholders must lie in the uncached suffix";
-  BackboneOutput output;
-  if (cached <= text_len) {
-    output.st_outputs = nn::SliceRows(hidden, text_len - cached,
-                                      text_len - cached + st_len);
-  }
-  if (num_task > 0) {
-    output.task_outputs =
-        nn::SliceRows(hidden, suffix_len - num_task, suffix_len);
-  }
-  return output;
+  return ForwardBatched({prompt}, {cache})[0];
 }
 
 nn::KvCache* Backbone::SeedInstructionKv(const PromptInput& prompt,

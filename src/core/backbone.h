@@ -50,32 +50,30 @@ class Backbone : public nn::Module {
  public:
   Backbone(int text_vocab_size, const BigCityConfig& config, util::Rng* rng);
 
+  /// ForwardBatched over the one prompt.
   BackboneOutput Forward(const PromptInput& prompt) const;
 
   /// Batched forward over independent prompts: the assembled prompt
   /// sequences are row-concatenated, all row-wise layers (embeddings, LN,
   /// projections, FFN) run on the tall matrix, and attention runs per
-  /// sequence — so outputs[i] is bit-identical to Forward(prompts[i]).
-  /// When `caches` is given (one entry per prompt, entries may be null)
-  /// each non-null EMPTY KvCache receives that prompt's full attention
-  /// state — a batched prefill for later extension decodes — while a
-  /// non-null cache that already holds a (truncated-to-shared) prefix
-  /// makes that prompt decode only its suffix rows against the cached
-  /// state, batched alongside the others. st_outputs is populated for a
-  /// sequence whose cache ended inside its instruction (an empty cache, or
-  /// one seeded with the instruction K/V), and left invalid when the cache
-  /// covered ST rows.
+  /// sequence — so outputs[i] is bit-identical to a forward over
+  /// prompts[i] alone. When `caches` is non-empty (one entry per prompt,
+  /// entries may be null) each non-null EMPTY KvCache receives that
+  /// prompt's full attention state — a prefill for later extension
+  /// decodes — while a non-null cache that already holds a prefix of the
+  /// assembled sequence (the caller guarantees the prefix tokens are
+  /// identical, truncating the cache first if needed) makes that prompt
+  /// decode only its suffix rows against the cached state, batched
+  /// alongside the others. st_outputs is populated for a sequence whose
+  /// cache ended inside its instruction (an empty cache, or one seeded
+  /// with the instruction K/V), and left invalid when the cache covered ST
+  /// rows.
   std::vector<BackboneOutput> ForwardBatched(
       const std::vector<PromptInput>& prompts,
-      const std::vector<nn::KvCache*>* caches = nullptr) const;
+      const std::vector<nn::KvCache*>& caches = {}) const;
 
-  /// KV-cached incremental forward: the first cache->length() positions of
-  /// the assembled sequence were already processed into `cache` (by a
-  /// previous ForwardCached over a prompt sharing that prefix; the caller
-  /// guarantees the prefix tokens are identical, truncating the cache
-  /// first if needed). Only the suffix rows run through the transformer.
-  /// task_outputs is bit-identical to Forward(); st_outputs is populated
-  /// under ForwardBatched's rule (the cache ended inside the instruction).
+  /// KV-cached incremental forward: ForwardBatched over the one prompt
+  /// with `cache`.
   BackboneOutput ForwardCached(const PromptInput& prompt,
                                nn::KvCache* cache) const;
 

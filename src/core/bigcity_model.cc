@@ -122,28 +122,11 @@ PromptInput BigCityModel::MakePrompt(Task task, Tensor st_tokens) const {
 // --- Trajectory tasks ------------------------------------------------------
 
 Tensor BigCityModel::NextHopLogits(const data::Trajectory& prefix) {
-  BIGCITY_CHECK_GE(prefix.length(), 1);
-  StUnitSequence seq = StUnitSequence::FromTrajectory(prefix);
-  PromptInput prompt = MakePrompt(
-      Task::kNextHop,
-      StTokensFor(seq, std::vector<bool>(seq.segments.size(), false)));
-  prompt.task_tokens = {TaskTokenKind::kClas};
-  BackboneOutput out = backbone_->Forward(prompt);
-  return heads_->SegmentLogits(out.task_outputs);
+  return BatchNextHopLogits({prefix})[0];
 }
 
 Tensor BigCityModel::TravelTimeDeltas(const data::Trajectory& trajectory) {
-  BIGCITY_CHECK_GE(trajectory.length(), 2);
-  StUnitSequence seq = StUnitSequence::FromTrajectory(trajectory);
-  // Hide every timestamp except the departure (Sec. VII-B protocol).
-  std::vector<bool> hide(seq.segments.size(), true);
-  hide[0] = false;
-  PromptInput prompt =
-      MakePrompt(Task::kTravelTimeEstimation, StTokensFor(seq, hide));
-  prompt.task_tokens.assign(static_cast<size_t>(seq.length() - 1),
-                            TaskTokenKind::kReg);
-  BackboneOutput out = backbone_->Forward(prompt);
-  return heads_->TimeRegression(out.task_outputs);
+  return BatchTravelTimeDeltas({trajectory})[0];
 }
 
 Tensor BigCityModel::ClassifyLogits(const data::Trajectory& trajectory) {
@@ -236,26 +219,45 @@ util::Status ScreenTrajectory(const data::Trajectory& trajectory,
   return util::Status::Ok();
 }
 
+/// The lone member of a one-element batch result.
+util::Result<Tensor> Only(util::Result<std::vector<Tensor>> batch) {
+  if (!batch.ok()) return batch.status();
+  return batch.value()[0];
+}
+
+/// Runs `head` once over the stacked placeholder outputs of `outs` and
+/// splits its rows back per member, `rows[i]` for member i. A lone
+/// member's head output is returned as it is, with no stacking copy.
+template <typename Head>
+std::vector<Tensor> SplitHead(const std::vector<BackboneOutput>& outs,
+                              const std::vector<int64_t>& rows,
+                              const Head& head) {
+  if (outs.size() == 1) return {head(outs[0].task_outputs)};
+  std::vector<Tensor> stacked;
+  stacked.reserve(outs.size());
+  for (const BackboneOutput& out : outs) stacked.push_back(out.task_outputs);
+  // One head GEMM over the stacked placeholder outputs.
+  Tensor all = head(nn::Concat(stacked, /*axis=*/0));
+  std::vector<Tensor> results;
+  results.reserve(outs.size());
+  int64_t off = 0;
+  for (int64_t count : rows) {
+    results.push_back(nn::SliceRows(all, off, off + count));
+    off += count;
+  }
+  return results;
+}
+
 }  // namespace
 
 util::Result<Tensor> BigCityModel::TryNextHopLogits(
     const data::Trajectory& prefix) {
-  if (auto s = ScreenTrajectory(prefix, dataset_->network().num_segments(),
-                                1, "next-hop");
-      !s.ok()) {
-    return s;
-  }
-  return NextHopLogits(ClipTrajectory(prefix));
+  return Only(TryBatchNextHopLogits({prefix}));
 }
 
 util::Result<Tensor> BigCityModel::TryTravelTimeDeltas(
     const data::Trajectory& trajectory) {
-  if (auto s = ScreenTrajectory(trajectory,
-                                dataset_->network().num_segments(), 2, "TTE");
-      !s.ok()) {
-    return s;
-  }
-  return TravelTimeDeltas(ClipTrajectory(trajectory));
+  return Only(TryBatchTravelTimeDeltas({trajectory}));
 }
 
 util::Result<Tensor> BigCityModel::TryClassifyLogits(
@@ -322,18 +324,7 @@ util::Result<Tensor> BigCityModel::TryRecoverLogits(
 util::Result<Tensor> BigCityModel::TryPredictTraffic(int segment,
                                                      int start_slice,
                                                      int horizon) {
-  if (horizon < 1 || horizon > static_cast<int>(config_.max_sequence)) {
-    return util::Status::InvalidArgument("traffic horizon " +
-                                         std::to_string(horizon) +
-                                         " out of range");
-  }
-  if (auto s = data::ValidateTrafficWindow(dataset_->traffic(), segment,
-                                           start_slice,
-                                           config_.traffic_input_steps);
-      !s.ok()) {
-    return s;
-  }
-  return PredictTraffic(segment, start_slice, horizon);
+  return Only(TryBatchPredictTraffic({{segment, start_slice, horizon}}));
 }
 
 util::Result<Tensor> BigCityModel::TryImputeTraffic(
@@ -361,16 +352,7 @@ util::Result<Tensor> BigCityModel::TryImputeTraffic(
 
 Tensor BigCityModel::PredictTraffic(int segment, int start_slice,
                                     int horizon) {
-  BIGCITY_CHECK_GT(horizon, 0);
-  StUnitSequence seq = StUnitSequence::FromTrafficSeries(
-      dataset_->traffic(), segment, start_slice, config_.traffic_input_steps);
-  PromptInput prompt = MakePrompt(
-      horizon == 1 ? Task::kTrafficOneStep : Task::kTrafficMultiStep,
-      StTokensFor(seq, std::vector<bool>(seq.segments.size(), false)));
-  prompt.task_tokens.assign(static_cast<size_t>(horizon),
-                            TaskTokenKind::kReg);
-  BackboneOutput out = backbone_->Forward(prompt);
-  return heads_->StateRegression(out.task_outputs);
+  return BatchPredictTraffic({{segment, start_slice, horizon}})[0];
 }
 
 Tensor BigCityModel::ImputeTraffic(int segment, int start_slice, int window,
@@ -404,10 +386,13 @@ std::vector<Tensor> BigCityModel::BatchNextHopLogits(
         Task::kNextHop,
         StTokensFor(seq, std::vector<bool>(seq.segments.size(), false)));
     prompt.task_tokens = {TaskTokenKind::kClas};
-    // A member arriving with cached attention state decodes only its
-    // suffix: truncate to the reusable region under the same rule as
-    // NextHopLogitsCached (everything but the previous call's [CLAS] row,
-    // capped at text + all but the last ST token).
+    // A member arriving with the cached attention state of a served
+    // prefix of this trajectory decodes only its suffix. Every cached row
+    // except the last — the previous call's [CLAS] placeholder, which sat
+    // where a new ST token now goes — holds exactly this prompt's content
+    // at the same position. The reusable region is additionally capped at
+    // the text instruction plus all but the last ST token (a same-length
+    // re-serve still re-decodes its final token and placeholder).
     if (caches != nullptr && (*caches)[i] != nullptr &&
         (*caches)[i]->length() > 0) {
       const int64_t text_len = static_cast<int64_t>(prompt.text_ids.size());
@@ -418,19 +403,11 @@ std::vector<Tensor> BigCityModel::BatchNextHopLogits(
     }
     prompts.push_back(std::move(prompt));
   }
-  std::vector<BackboneOutput> outs =
-      backbone_->ForwardBatched(prompts, caches);
-  std::vector<Tensor> stacked;
-  stacked.reserve(outs.size());
-  for (const BackboneOutput& out : outs) stacked.push_back(out.task_outputs);
-  // One head GEMM over the stacked [B, d] placeholder outputs.
-  Tensor logits = heads_->SegmentLogits(nn::Concat(stacked, /*axis=*/0));
-  std::vector<Tensor> results;
-  results.reserve(outs.size());
-  for (int64_t i = 0; i < static_cast<int64_t>(outs.size()); ++i) {
-    results.push_back(nn::SliceRows(logits, i, i + 1));
-  }
-  return results;
+  return SplitHead(
+      backbone_->ForwardBatched(
+          prompts, caches != nullptr ? *caches : std::vector<nn::KvCache*>()),
+      std::vector<int64_t>(prefixes.size(), 1),
+      [&](const Tensor& z) { return heads_->SegmentLogits(z); });
 }
 
 std::vector<Tensor> BigCityModel::BatchTravelTimeDeltas(
@@ -443,6 +420,7 @@ std::vector<Tensor> BigCityModel::BatchTravelTimeDeltas(
   for (const data::Trajectory& trajectory : trajectories) {
     BIGCITY_CHECK_GE(trajectory.length(), 2);
     StUnitSequence seq = StUnitSequence::FromTrajectory(trajectory);
+    // Hide every timestamp except the departure (Sec. VII-B protocol).
     std::vector<bool> hide(seq.segments.size(), true);
     hide[0] = false;
     PromptInput prompt =
@@ -452,19 +430,8 @@ std::vector<Tensor> BigCityModel::BatchTravelTimeDeltas(
     counts.push_back(seq.length() - 1);
     prompts.push_back(std::move(prompt));
   }
-  std::vector<BackboneOutput> outs = backbone_->ForwardBatched(prompts);
-  std::vector<Tensor> stacked;
-  stacked.reserve(outs.size());
-  for (const BackboneOutput& out : outs) stacked.push_back(out.task_outputs);
-  Tensor deltas = heads_->TimeRegression(nn::Concat(stacked, /*axis=*/0));
-  std::vector<Tensor> results;
-  results.reserve(outs.size());
-  int64_t off = 0;
-  for (int64_t count : counts) {
-    results.push_back(nn::SliceRows(deltas, off, off + count));
-    off += count;
-  }
-  return results;
+  return SplitHead(backbone_->ForwardBatched(prompts), counts,
+                   [&](const Tensor& z) { return heads_->TimeRegression(z); });
 }
 
 std::vector<Tensor> BigCityModel::BatchPredictTraffic(
@@ -472,6 +439,8 @@ std::vector<Tensor> BigCityModel::BatchPredictTraffic(
   BIGCITY_CHECK(!queries.empty());
   std::vector<PromptInput> prompts;
   prompts.reserve(queries.size());
+  std::vector<int64_t> horizons;
+  horizons.reserve(queries.size());
   for (const TrafficQuery& query : queries) {
     BIGCITY_CHECK_GT(query.horizon, 0);
     StUnitSequence seq = StUnitSequence::FromTrafficSeries(
@@ -482,21 +451,11 @@ std::vector<Tensor> BigCityModel::BatchPredictTraffic(
         StTokensFor(seq, std::vector<bool>(seq.segments.size(), false)));
     prompt.task_tokens.assign(static_cast<size_t>(query.horizon),
                               TaskTokenKind::kReg);
+    horizons.push_back(query.horizon);
     prompts.push_back(std::move(prompt));
   }
-  std::vector<BackboneOutput> outs = backbone_->ForwardBatched(prompts);
-  std::vector<Tensor> stacked;
-  stacked.reserve(outs.size());
-  for (const BackboneOutput& out : outs) stacked.push_back(out.task_outputs);
-  Tensor states = heads_->StateRegression(nn::Concat(stacked, /*axis=*/0));
-  std::vector<Tensor> results;
-  results.reserve(outs.size());
-  int64_t off = 0;
-  for (const TrafficQuery& query : queries) {
-    results.push_back(nn::SliceRows(states, off, off + query.horizon));
-    off += query.horizon;
-  }
-  return results;
+  return SplitHead(backbone_->ForwardBatched(prompts), horizons,
+                   [&](const Tensor& z) { return heads_->StateRegression(z); });
 }
 
 util::Result<std::vector<Tensor>> BigCityModel::TryBatchNextHopLogits(
@@ -564,50 +523,6 @@ util::Result<std::vector<Tensor>> BigCityModel::TryBatchPredictTraffic(
     }
   }
   return BatchPredictTraffic(queries);
-}
-
-// --- KV-cached decoding ------------------------------------------------------
-
-Tensor BigCityModel::NextHopLogitsCached(const data::Trajectory& prefix,
-                                         nn::KvCache* cache) {
-  BIGCITY_CHECK(cache != nullptr);
-  BIGCITY_CHECK_GE(prefix.length(), 1);
-  StUnitSequence seq = StUnitSequence::FromTrajectory(prefix);
-  PromptInput prompt = MakePrompt(
-      Task::kNextHop,
-      StTokensFor(seq, std::vector<bool>(seq.segments.size(), false)));
-  prompt.task_tokens = {TaskTokenKind::kClas};
-  // The caller guarantees the cache was populated by a decode over some
-  // served prefix of this trajectory, so every cached row except the last
-  // — the previous call's [CLAS] placeholder, which sat where a new ST
-  // token now goes — holds exactly this prompt's content at the same
-  // position. The reusable region is additionally capped at the text
-  // instruction plus all but the last ST token (a same-length re-serve
-  // still re-decodes its final token and placeholder).
-  const int64_t text_len = static_cast<int64_t>(prompt.text_ids.size());
-  const int64_t shared_max = std::min<int64_t>(
-      cache->length() > 0 ? cache->length() - 1 : 0,
-      text_len + static_cast<int64_t>(seq.length()) - 1);
-  if (cache->length() > shared_max) cache->Truncate(shared_max);
-  BackboneOutput out = backbone_->ForwardCached(prompt, cache);
-  return heads_->SegmentLogits(out.task_outputs);
-}
-
-util::Result<Tensor> BigCityModel::TryNextHopLogitsCached(
-    const data::Trajectory& prefix, nn::KvCache* cache) {
-  BIGCITY_CHECK(cache != nullptr);
-  if (auto s = ScreenTrajectory(prefix, dataset_->network().num_segments(),
-                                1, "next-hop");
-      !s.ok()) {
-    return s;
-  }
-  data::Trajectory clipped = ClipTrajectory(prefix);
-  if (clipped.length() != prefix.length()) {
-    // Clipping resamples interior points, so cached positions no longer
-    // correspond to this prefix's tokens.
-    cache->Clear();
-  }
-  return NextHopLogitsCached(clipped, cache);
 }
 
 // --- Stage-1 masked reconstruction ---------------------------------------------

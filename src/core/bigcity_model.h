@@ -36,11 +36,13 @@ class BigCityModel : public nn::Module {
   // --- Trajectory tasks ------------------------------------------------
 
   /// Next-hop: logits over all segments for the segment following the
-  /// given prefix. `prefix` must contain at least 2 points.
+  /// given prefix. `prefix` must contain at least 2 points. A one-element
+  /// BatchNextHopLogits.
   nn::Tensor NextHopLogits(const data::Trajectory& prefix);
 
   /// TTE: predicted normalized time deltas [L-1, 1] for positions 1..L-1
-  /// (every timestamp but the first is hidden from the model).
+  /// (every timestamp but the first is hidden from the model). A
+  /// one-element BatchTravelTimeDeltas.
   nn::Tensor TravelTimeDeltas(const data::Trajectory& trajectory);
 
   /// Trajectory classification: user-linkage logits (XA/CD) or binary
@@ -62,7 +64,7 @@ class BigCityModel : public nn::Module {
 
   /// Predicts the next `horizon` slices of one segment's states given
   /// slices [start, start+input_steps): [horizon, kTrafficChannels],
-  /// normalized units.
+  /// normalized units. A one-element BatchPredictTraffic.
   nn::Tensor PredictTraffic(int segment, int start_slice, int horizon);
 
   /// Imputes masked positions of a traffic window: [K, kTrafficChannels].
@@ -75,15 +77,17 @@ class BigCityModel : public nn::Module {
   // per request, row-concatenated through the backbone (row-wise layers run
   // as one tall GEMM; attention per sequence), and the task heads run once
   // over the stacked placeholder outputs. Every returned tensor is
-  // bit-identical to the corresponding single-request method.
+  // bit-identical to a one-element batch of the same input.
 
   /// One [1, I] logits tensor per prefix. When `caches` is given (one
   /// entry per prefix, entries may be null) each non-null empty KvCache
-  /// receives that prefix's backbone attention state — a batched prefill —
-  /// while a non-null cache holding the state of a served prefix of the
-  /// same trajectory decodes only its suffix rows against it (a batched
-  /// NextHopLogitsCached). Mixed batches are fine; results are
-  /// bit-identical to the single-request methods either way.
+  /// receives that prefix's backbone attention state — a prefill — while
+  /// a non-null cache holding the state of a served prefix of the same
+  /// trajectory (the caller guarantees the cached positions match, e.g. by
+  /// keying the cache on the trajectory prefix) is truncated to the shared
+  /// region — text instruction plus the prefix's first L-1 ST tokens — and
+  /// only the suffix rows and the [CLAS] placeholder decode against it.
+  /// Mixed batches are fine; results are bit-identical either way.
   std::vector<nn::Tensor> BatchNextHopLogits(
       const std::vector<data::Trajectory>& prefixes,
       const std::vector<nn::KvCache*>* caches = nullptr);
@@ -110,21 +114,6 @@ class BigCityModel : public nn::Module {
       const std::vector<data::Trajectory>& trajectories);
   util::Result<std::vector<nn::Tensor>> TryBatchPredictTraffic(
       const std::vector<TrafficQuery>& queries);
-
-  // --- KV-cached autoregressive decoding ----------------------------------
-
-  /// Next-hop logits reusing the cached attention state of a previous call
-  /// whose prompt shares this prefix's tokens (the caller guarantees the
-  /// cached positions match, e.g. by keying the cache on the trajectory
-  /// prefix). The cache is truncated to the shared region — text
-  /// instruction plus the first L-1 ST tokens — and only the final ST
-  /// token and the [CLAS] placeholder run through the transformer.
-  /// Bit-identical to NextHopLogits; an empty cache degenerates to a full
-  /// (still bit-identical) forward that populates the cache.
-  nn::Tensor NextHopLogitsCached(const data::Trajectory& prefix,
-                                 nn::KvCache* cache);
-  util::Result<nn::Tensor> TryNextHopLogitsCached(
-      const data::Trajectory& prefix, nn::KvCache* cache);
 
   // --- Validated (Status-returning) inference entry points --------------
   //

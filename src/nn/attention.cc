@@ -45,45 +45,17 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t num_heads,
 }
 
 Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
-  BIGCITY_PROFILE_MODULE(module_path().c_str());
-  return Forward(x, Tensor());
-}
-
-Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
-                                       const Tensor& residual) const {
-  BIGCITY_PROFILE_MODULE(module_path().c_str());
-  BIGCITY_CHECK_EQ(x.shape().size(), 2u);
-  BIGCITY_CHECK_EQ(x.shape()[1], dim_);
-  Tensor q = wq_->Forward(x);
-  Tensor k = wk_->Forward(x);
-  Tensor v = wv_->Forward(x);
-
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(num_heads_));
-  for (int64_t h = 0; h < num_heads_; ++h) {
-    const int64_t lo = h * head_dim_, hi = (h + 1) * head_dim_;
-    Tensor qh = SliceCols(q, lo, hi);
-    Tensor kh = SliceCols(k, lo, hi);
-    Tensor vh = SliceCols(v, lo, hi);
-    // q·k^T, scaling, causal mask, and softmax in one fused node — no
-    // transposed copy of K and no [L,L] mask tensor.
-    Tensor attn = ScaledMaskedSoftmax(MatMulNT(qh, kh), inv_sqrt, causal_);
-    head_outputs.push_back(MatMul(attn, vh));
-  }
-  Tensor merged = Concat(head_outputs, /*axis=*/1);
-  return residual.is_valid() ? wo_->ForwardResidual(merged, residual)
-                             : wo_->Forward(merged);
+  return ForwardBatched(x, Tensor(), {x.shape()[0]});
 }
 
 Tensor MultiHeadSelfAttention::ForwardBatched(
     const Tensor& x, const Tensor& residual,
     const std::vector<int64_t>& lens,
-    const std::vector<AttentionKv*>* kv_out) const {
+    const std::vector<AttentionKv*>& kv) const {
   BIGCITY_PROFILE_MODULE(module_path().c_str());
   BIGCITY_CHECK_EQ(x.shape().size(), 2u);
   BIGCITY_CHECK_EQ(x.shape()[1], dim_);
-  if (kv_out != nullptr) BIGCITY_CHECK_EQ(kv_out->size(), lens.size());
+  if (!kv.empty()) BIGCITY_CHECK_EQ(kv.size(), lens.size());
   int64_t total = 0;
   for (int64_t len : lens) {
     BIGCITY_CHECK_GT(len, 0);
@@ -91,28 +63,29 @@ Tensor MultiHeadSelfAttention::ForwardBatched(
   }
   BIGCITY_CHECK_EQ(total, x.shape()[0]);
   // One tall projection GEMM per matrix; each output row only depends on
-  // its own input row, so rows match the per-sequence Forward() bit for
-  // bit.
+  // its own input row, so rows match a per-sequence forward bit for bit.
   Tensor q = wq_->Forward(x);
   Tensor k = wk_->Forward(x);
   Tensor v = wv_->Forward(x);
 
+  // A single sequence spans all of q/k/v: it is attended in place, with no
+  // row-slice copies and no one-element concat (each would add a copy and
+  // a backward node to every training forward).
+  const bool single = lens.size() == 1;
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   std::vector<Tensor> seq_outputs;
   seq_outputs.reserve(lens.size());
   int64_t off = 0;
   for (size_t seq = 0; seq < lens.size(); ++seq) {
     const int64_t len = lens[seq];
-    Tensor qs = SliceRows(q, off, off + len);
-    Tensor ks = SliceRows(k, off, off + len);
-    Tensor vs = SliceRows(v, off, off + len);
+    Tensor qs = single ? q : SliceRows(q, off, off + len);
+    Tensor ks = single ? k : SliceRows(k, off, off + len);
+    Tensor vs = single ? v : SliceRows(v, off, off + len);
     // A non-empty cache entry holds the projected prefix state of this
     // sequence: its rows in x are the suffix, attended with the causal
-    // offset exactly as in ForwardCached. An empty (or absent) entry means
-    // the rows are the whole sequence, and the cache — if any — captures a
-    // prefill.
-    AttentionKv* cache =
-        kv_out != nullptr ? (*kv_out)[seq] : nullptr;
+    // offset. An empty (or absent) entry means the rows are the whole
+    // sequence, and the cache — if any — captures a prefill.
+    AttentionKv* cache = kv.empty() ? nullptr : kv[seq];
     const int64_t offset = cache != nullptr ? cache->length() : 0;
     if (offset > 0) {
       BIGCITY_CHECK(causal_) << "KV-cached decode requires causal attention";
@@ -130,6 +103,10 @@ Tensor MultiHeadSelfAttention::ForwardBatched(
       Tensor qh = SliceCols(qs, lo, hi);
       Tensor kh = SliceCols(ks, lo, hi);
       Tensor vh = SliceCols(vs, lo, hi);
+      // q·k^T, scaling, the (offset-)causal mask and softmax in one fused
+      // node — no transposed copy of K and no [L,L] mask tensor. Suffix
+      // row i is global position offset + i, so the mask keeps exactly
+      // the entries a full-sequence forward would.
       Tensor attn =
           ScaledMaskedSoftmax(MatMulNT(qh, kh), inv_sqrt, causal_, offset);
       head_outputs.push_back(MatMul(attn, vh));
@@ -137,43 +114,7 @@ Tensor MultiHeadSelfAttention::ForwardBatched(
     seq_outputs.push_back(Concat(head_outputs, /*axis=*/1));
     off += len;
   }
-  Tensor merged = Concat(seq_outputs, /*axis=*/0);
-  return residual.is_valid() ? wo_->ForwardResidual(merged, residual)
-                             : wo_->Forward(merged);
-}
-
-Tensor MultiHeadSelfAttention::ForwardCached(const Tensor& x,
-                                             const Tensor& residual,
-                                             AttentionKv* kv) const {
-  BIGCITY_PROFILE_MODULE(module_path().c_str());
-  BIGCITY_CHECK(causal_) << "KV caching requires causal attention";
-  BIGCITY_CHECK(kv != nullptr);
-  BIGCITY_CHECK_EQ(x.shape().size(), 2u);
-  BIGCITY_CHECK_EQ(x.shape()[1], dim_);
-  Tensor q = wq_->Forward(x);
-  Tensor k_new = wk_->Forward(x);
-  Tensor v_new = wv_->Forward(x);
-  const int64_t offset = kv->length();
-  Tensor k_full = offset > 0 ? Concat({kv->k, k_new}, /*axis=*/0) : k_new;
-  Tensor v_full = offset > 0 ? Concat({kv->v, v_new}, /*axis=*/0) : v_new;
-
-  const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(static_cast<size_t>(num_heads_));
-  for (int64_t h = 0; h < num_heads_; ++h) {
-    const int64_t lo = h * head_dim_, hi = (h + 1) * head_dim_;
-    Tensor qh = SliceCols(q, lo, hi);
-    Tensor kh = SliceCols(k_full, lo, hi);
-    Tensor vh = SliceCols(v_full, lo, hi);
-    // Suffix row i is global position offset + i: the offset-causal
-    // softmax keeps exactly the entries a full-sequence forward would.
-    Tensor attn =
-        ScaledMaskedSoftmax(MatMulNT(qh, kh), inv_sqrt, causal_, offset);
-    head_outputs.push_back(MatMul(attn, vh));
-  }
-  kv->k = k_full;
-  kv->v = v_full;
-  Tensor merged = Concat(head_outputs, /*axis=*/1);
+  Tensor merged = single ? seq_outputs[0] : Concat(seq_outputs, /*axis=*/0);
   return residual.is_valid() ? wo_->ForwardResidual(merged, residual)
                              : wo_->Forward(merged);
 }

@@ -34,35 +34,24 @@ class MultiHeadSelfAttention : public Module {
   MultiHeadSelfAttention(int64_t dim, int64_t num_heads, util::Rng* rng,
                          bool causal);
 
+  /// x [L, D] -> [L, D]: ForwardBatched over the one sequence x.
   Tensor Forward(const Tensor& x) const;
-  /// Forward(x) + residual with the residual fused into the output
-  /// projection (the transformer block's pre-norm skip connection).
-  Tensor Forward(const Tensor& x, const Tensor& residual) const;
 
   /// Batched forward over the row-concatenation of independent sequences:
-  /// x [sum(lens), D] stacks the sequences back to back. All projections
-  /// run on the tall matrix (one GEMM instead of lens.size()); the
-  /// attention core runs per sequence on its row span, so every output row
-  /// is bit-identical to Forward() on that sequence alone. When `kv_out`
-  /// is given (one entry per sequence, entries may be null) each non-null
-  /// EMPTY entry receives that sequence's projected keys/values — the same
-  /// state a ForwardCached prefill would have produced. A non-null entry
+  /// x [sum(lens), D] stacks the sequences back to back, and `residual`
+  /// (when valid) is fused into the output projection (the transformer
+  /// block's pre-norm skip connection). All projections run on the tall
+  /// matrix (one GEMM instead of lens.size()); the attention core runs per
+  /// sequence on its row span, so every output row is bit-identical to a
+  /// forward over that sequence alone. When `kv` is non-empty (one entry
+  /// per sequence, entries may be null) each non-null EMPTY entry receives
+  /// that sequence's projected keys/values (a prefill). A non-null entry
   /// that already holds state is a prefix: that sequence's rows in x are
-  /// its suffix, attended with the causal offset (a batched ForwardCached
-  /// decode), and the entry is extended in place. Either way later cached
-  /// calls stay bit-identical.
+  /// its suffix, attended with the causal offset (a decode), and the entry
+  /// is extended in place. Either way later decodes stay bit-identical.
   Tensor ForwardBatched(const Tensor& x, const Tensor& residual,
                         const std::vector<int64_t>& lens,
-                        const std::vector<AttentionKv*>* kv_out =
-                            nullptr) const;
-
-  /// KV-cached incremental forward (causal only): x holds the suffix rows
-  /// of a sequence whose first kv->length() positions were already
-  /// processed into `kv`. Appends the suffix keys/values to the cache and
-  /// returns outputs for the suffix rows, bit-identical to the trailing
-  /// rows of a full-sequence Forward().
-  Tensor ForwardCached(const Tensor& x, const Tensor& residual,
-                       AttentionKv* kv) const;
+                        const std::vector<AttentionKv*>& kv = {}) const;
 
   LoraLinear* wq() { return wq_.get(); }
   LoraLinear* wk() { return wk_.get(); }

@@ -14,8 +14,8 @@ namespace bigcity::nn {
 
 /// Identity of a reusable execution plan: the task (training stage or
 /// serving task name) plus a shape bucket (0 when the task's footprint is
-/// shape-independent; serving buckets trajectory lengths by power of two
-/// so a handful of plans cover every request size).
+/// shape-independent; serving buckets a dequeue's batch size by power of
+/// two, so a handful of plans cover every batch).
 struct PlanKey {
   std::string task;
   int64_t bucket = 0;

@@ -22,31 +22,18 @@ TransformerBlock::TransformerBlock(int64_t dim, int64_t num_heads,
 }
 
 Tensor TransformerBlock::Forward(const Tensor& x) const {
-  BIGCITY_PROFILE_MODULE(module_path().c_str());
-  // Both pre-norm skip connections ride the fused residual epilogues of
-  // the output / down projections; the FFN activation is fused with its
-  // bias add.
-  Tensor h = attn_->Forward(ln1_->Forward(x), /*residual=*/x);
-  return ffn_down_->ForwardResidual(ffn_up_->ForwardGelu(ln2_->Forward(h)),
-                                    h);
+  return ForwardBatched(x, {x.shape()[0]});
 }
 
 Tensor TransformerBlock::ForwardBatched(
     const Tensor& x, const std::vector<int64_t>& lens,
-    const std::vector<AttentionKv*>* kv_out) const {
+    const std::vector<AttentionKv*>& kv) const {
   BIGCITY_PROFILE_MODULE(module_path().c_str());
   // LN, FFN, and the fused residual epilogues are all row-wise, so only
-  // the attention core needs the sequence boundaries.
-  Tensor h =
-      attn_->ForwardBatched(ln1_->Forward(x), /*residual=*/x, lens, kv_out);
-  return ffn_down_->ForwardResidual(ffn_up_->ForwardGelu(ln2_->Forward(h)),
-                                    h);
-}
-
-Tensor TransformerBlock::ForwardCached(const Tensor& x,
-                                       AttentionKv* kv) const {
-  BIGCITY_PROFILE_MODULE(module_path().c_str());
-  Tensor h = attn_->ForwardCached(ln1_->Forward(x), /*residual=*/x, kv);
+  // the attention core needs the sequence boundaries. Both pre-norm skip
+  // connections ride the fused residual epilogues of the output / down
+  // projections; the FFN activation is fused with its bias add.
+  Tensor h = attn_->ForwardBatched(ln1_->Forward(x), /*residual=*/x, lens, kv);
   return ffn_down_->ForwardResidual(ffn_up_->ForwardGelu(ln2_->Forward(h)),
                                     h);
 }
@@ -87,19 +74,16 @@ Transformer::Transformer(int64_t dim, int64_t num_heads, int64_t num_layers,
 }
 
 Tensor Transformer::Forward(const Tensor& x) const {
-  BIGCITY_PROFILE_MODULE(module_path().c_str());
-  Tensor h = x;
-  for (const auto& block : blocks_) h = block->Forward(h);
-  return final_ln_->Forward(h);
+  return ForwardBatched(x, {x.shape()[0]});
 }
 
-Tensor Transformer::ForwardBatched(
-    const Tensor& x, const std::vector<int64_t>& lens,
-    const std::vector<KvCache*>* caches) const {
+Tensor Transformer::ForwardBatched(const Tensor& x,
+                                   const std::vector<int64_t>& lens,
+                                   const std::vector<KvCache*>& caches) const {
   BIGCITY_PROFILE_MODULE(module_path().c_str());
-  if (caches != nullptr) {
-    BIGCITY_CHECK_EQ(caches->size(), lens.size());
-    for (KvCache* cache : *caches) {
+  if (!caches.empty()) {
+    BIGCITY_CHECK_EQ(caches.size(), lens.size());
+    for (KvCache* cache : caches) {
       if (cache == nullptr) continue;
       if (cache->layers.empty()) {
         cache->layers.resize(static_cast<size_t>(num_layers()));
@@ -108,32 +92,20 @@ Tensor Transformer::ForwardBatched(
     }
   }
   Tensor h = x;
+  std::vector<AttentionKv*> layer_kvs(caches.size(), nullptr);
   for (size_t i = 0; i < blocks_.size(); ++i) {
-    std::vector<AttentionKv*> layer_kvs;
-    if (caches != nullptr) {
-      layer_kvs.reserve(caches->size());
-      for (KvCache* cache : *caches) {
-        layer_kvs.push_back(cache == nullptr ? nullptr : &cache->layers[i]);
-      }
+    for (size_t seq = 0; seq < caches.size(); ++seq) {
+      if (caches[seq] != nullptr) layer_kvs[seq] = &caches[seq]->layers[i];
     }
-    h = blocks_[i]->ForwardBatched(h, lens,
-                                   caches != nullptr ? &layer_kvs : nullptr);
+    h = blocks_[i]->ForwardBatched(h, lens, layer_kvs);
   }
   return final_ln_->Forward(h);
 }
 
 Tensor Transformer::ForwardCached(const Tensor& x, KvCache* cache) const {
-  BIGCITY_PROFILE_MODULE(module_path().c_str());
-  BIGCITY_CHECK(cache != nullptr);
-  if (cache->layers.empty()) {
-    cache->layers.resize(static_cast<size_t>(num_layers()));
-  }
-  BIGCITY_CHECK_EQ(cache->layers.size(), blocks_.size());
-  Tensor h = x;
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->ForwardCached(h, &cache->layers[i]);
-  }
-  return final_ln_->Forward(h);
+  BIGCITY_CHECK(blocks_.front()->attn()->causal())
+      << "KV caching requires causal attention";
+  return ForwardBatched(x, {x.shape()[0]}, {cache});
 }
 
 void Transformer::EnableLora(int64_t rank, float alpha, int64_t num_blocks,

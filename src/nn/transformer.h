@@ -39,16 +39,15 @@ class TransformerBlock : public Module {
   TransformerBlock(int64_t dim, int64_t num_heads, util::Rng* rng,
                    bool causal);
 
+  /// x [L, dim] -> [L, dim]: ForwardBatched over the one sequence x.
   Tensor Forward(const Tensor& x) const;
   /// Batched forward over row-concatenated independent sequences (see
   /// MultiHeadSelfAttention::ForwardBatched); LN/FFN run on the tall
-  /// matrix, attention per sequence. Bit-identical per row to Forward().
-  /// Non-null `kv_out` entries receive their sequence's attention state.
+  /// matrix, attention per sequence. Bit-identical per row to a forward
+  /// over each sequence alone. Non-null `kv` entries receive (or extend)
+  /// their sequence's attention state.
   Tensor ForwardBatched(const Tensor& x, const std::vector<int64_t>& lens,
-                        const std::vector<AttentionKv*>* kv_out =
-                            nullptr) const;
-  /// KV-cached forward over the suffix rows of one sequence.
-  Tensor ForwardCached(const Tensor& x, AttentionKv* kv) const;
+                        const std::vector<AttentionKv*>& kv = {}) const;
 
   /// Attaches LoRA adapters (rank, alpha) to Wq/Wk/Wv and both FFN layers.
   void EnableLora(int64_t rank, float alpha, util::Rng* rng);
@@ -74,20 +73,20 @@ class Transformer : public Module {
   Transformer(int64_t dim, int64_t num_heads, int64_t num_layers,
               util::Rng* rng, bool causal);
 
-  /// x [L, dim] -> [L, dim].
+  /// x [L, dim] -> [L, dim]: ForwardBatched over the one sequence x.
   Tensor Forward(const Tensor& x) const;
   /// Row-concatenation of independent sequences [sum(lens), dim] ->
-  /// [sum(lens), dim], every row bit-identical to the per-sequence
-  /// Forward(). When `caches` is given (one entry per sequence, entries
-  /// may be null) each non-null KvCache is filled with that sequence's
-  /// per-layer attention state — a batched prefill, so a later
-  /// ForwardCached over an extension decodes only its suffix rows.
+  /// [sum(lens), dim], every row bit-identical to a forward over its
+  /// sequence alone. When `caches` is non-empty (one entry per sequence,
+  /// entries may be null) each non-null KvCache is initialized on first
+  /// use and filled with that sequence's per-layer attention state — a
+  /// batched prefill — or, when it already holds a prefix, that
+  /// sequence's rows are its suffix and are decoded against it.
   Tensor ForwardBatched(const Tensor& x, const std::vector<int64_t>& lens,
-                        const std::vector<KvCache*>* caches = nullptr) const;
+                        const std::vector<KvCache*>& caches = {}) const;
   /// Suffix rows [S, dim] of a sequence whose first cache->length()
-  /// positions are cached -> suffix outputs [S, dim], bit-identical to the
-  /// trailing rows of a full Forward(). Initializes cache->layers on first
-  /// use and appends the suffix state. Causal stacks only.
+  /// positions are cached -> suffix outputs [S, dim]: ForwardBatched over
+  /// the one sequence with `cache`. Causal stacks only.
   Tensor ForwardCached(const Tensor& x, KvCache* cache) const;
 
   int64_t num_layers() const { return static_cast<int64_t>(blocks_.size()); }

@@ -47,6 +47,11 @@ bool CircuitBreaker::RecordFailure(
   return false;
 }
 
+void CircuitBreaker::ReleaseProbe() {
+  std::lock_guard<std::mutex> lock(mu_);
+  probe_in_flight_ = false;
+}
+
 CircuitBreaker::State CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;

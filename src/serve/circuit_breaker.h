@@ -31,6 +31,11 @@ class CircuitBreaker {
   /// Returns true when this failure transitioned the breaker to open
   /// (callers count open events without re-reading state racily).
   bool RecordFailure(std::chrono::steady_clock::time_point now);
+  /// Returns the half-open probe slot without a verdict, for a probe that
+  /// ended in neither (a quarantined input, a non-finite output): the
+  /// state is unchanged, so the next Admit probes again. Every exit after
+  /// a kProbe admission calls exactly one of these three.
+  void ReleaseProbe();
 
   State state() const;
   int consecutive_failures() const;

@@ -120,8 +120,8 @@ struct Response {
   /// Model version that served this request (0 = initial in-memory
   /// weights; pre-worker failures like shed/expired keep 0).
   uint64_t model_version = 0;
-  /// Requests that shared this request's batched forward (1 on the
-  /// per-request path and for requests that never reached a worker).
+  /// Requests that shared this request's batched forward (1 for a batch
+  /// of one and for requests that never reached a worker).
   int batch_size = 1;
 };
 

@@ -238,13 +238,11 @@ util::Status InferenceServer::Start() {
     // the serve.overload.* gauges are uniform.
     OverloadController::Options overload_options;
     overload_options.mem_budget_bytes = options_.mem_budget_bytes;
-    overload_options.high_watermark = options_.overload_high_watermark;
-    overload_options.low_watermark = options_.overload_low_watermark;
     overload_options.sojourn_target_ms = options_.sojourn_target_ms;
     overload_options.sojourn_interval_ms = options_.sojourn_interval_ms;
     overload_ = std::make_unique<OverloadController>(overload_options);
   }
-  if (options_.batching) {
+  {
     Batcher<WorkItem>::Options batch_options;
     batch_options.batch_max = std::max(1, options_.batch_max);
     batch_options.window_us = std::max(0.0, options_.batch_window_us);
@@ -410,7 +408,9 @@ void InferenceServer::Finish(WorkItem& item, Response response) {
   response.queue_wait_us = item.queue_wait_us;
   response.batch_size = item.batch_size;
   response.stages = item.stages;
+  response.model_version = item.model_version;
   if (response.status.ok()) {
+    BIGCITY_COUNTER_INC("serve.completed");
     response.outcome = response.degraded ? Outcome::kDegraded : Outcome::kOk;
   } else if (response.outcome == Outcome::kOk) {
     // Not pre-set by a stage (the breaker sets kRejected itself).
@@ -481,8 +481,8 @@ std::future<Response> InferenceServer::Submit(Request request) {
   BIGCITY_TRACE_ID_SCOPE(item.trace_id);
   BIGCITY_TRACE_SPAN("serve.submit", "serve");
   // Flow origin: the 's' event inside the submit span starts this
-  // request's chrome://tracing flow; Process/ProcessBatch step it ('t')
-  // on the worker thread and Finish terminates it ('f').
+  // request's chrome://tracing flow; ProcessBatch steps it ('t') on the
+  // worker thread and Finish terminates it ('f').
   BIGCITY_TRACE_FLOW("serve.request", "serve", 's', item.trace_id);
   const double deadline_ms = request.deadline_ms > 0
                                  ? request.deadline_ms
@@ -625,294 +625,57 @@ util::Status InferenceServer::ValidateRequest(const Request& request) const {
   return util::Status::InvalidArgument("unknown task");
 }
 
-util::Result<nn::Tensor> InferenceServer::RunModel(
-    const Request& request, core::BigCityModel* model) {
-  switch (request.task) {
-    case core::Task::kNextHop:
-      return model->TryNextHopLogits(request.trajectory);
-    case core::Task::kTravelTimeEstimation:
-      return model->TryTravelTimeDeltas(request.trajectory);
-    case core::Task::kTrajClassification:
-      return model->TryClassifyLogits(request.trajectory);
-    case core::Task::kMostSimilarSearch:
-      return model->TryEmbed(request.trajectory);
-    case core::Task::kTrajRecovery:
-      return model->TryRecoverLogits(request.trajectory, request.kept);
-    case core::Task::kTrafficOneStep:
-      return model->TryPredictTraffic(request.segment, request.start_slice,
-                                      1);
-    case core::Task::kTrafficMultiStep:
-      return model->TryPredictTraffic(request.segment, request.start_slice,
-                                      request.horizon);
-    case core::Task::kTrafficImputation:
-      return model->TryImputeTraffic(request.segment, request.start_slice,
-                                     request.window, request.masked);
-  }
-  return util::Status::InvalidArgument("unknown task");
-}
-
-util::Result<nn::Tensor> InferenceServer::RunBaseline(
-    const Request& request) const {
-  switch (request.task) {
-    case core::Task::kNextHop:
-      return baseline_.NextHopScores(request.trajectory);
-    case core::Task::kTravelTimeEstimation:
-      return baseline_.TravelTimeDeltas(request.trajectory);
-    case core::Task::kTrafficOneStep:
-      return baseline_.PredictTraffic(request.segment, request.start_slice,
-                                      model_config_.traffic_input_steps, 1);
-    case core::Task::kTrafficMultiStep:
-      return baseline_.PredictTraffic(request.segment, request.start_slice,
-                                      model_config_.traffic_input_steps,
-                                      request.horizon);
-    default:
-      return util::Status::Unavailable("task has no degraded fallback");
-  }
-}
-
-/// Plan identity for a request: task name plus a power-of-two bucket of
-/// the size knob that drives the forward's footprint, so a handful of
-/// plans cover every request size without per-length captures.
-nn::PlanKey PlanKeyFor(const Request& request) {
-  int64_t size = 0;
-  switch (request.task) {
-    case core::Task::kNextHop:
-    case core::Task::kTravelTimeEstimation:
-    case core::Task::kTrajClassification:
-    case core::Task::kMostSimilarSearch:
-    case core::Task::kTrajRecovery:
-      size = request.trajectory.length();
-      break;
-    case core::Task::kTrafficOneStep:
-      size = 1;
-      break;
-    case core::Task::kTrafficMultiStep:
-      size = request.horizon;
-      break;
-    case core::Task::kTrafficImputation:
-      size = request.window;
-      break;
-  }
-  int64_t bucket = 1;
-  while (bucket < size) bucket <<= 1;
-  return nn::PlanKey{core::TaskName(request.task), bucket};
-}
-
-Response InferenceServer::Process(WorkItem& item, Replica& replica,
-                                  nn::PlanCache* plans, KvSessionStore* kv) {
-  // Id scope first so the span's destructor still sees it when stamping.
-  BIGCITY_TRACE_ID_SCOPE(item.trace_id);
-  BIGCITY_TRACE_SPAN("serve.process", "serve");
-  BIGCITY_TRACE_FLOW("serve.request", "serve", 't', item.trace_id);
-  // Deterministic wedge site (after the flow step so a reaped request's
-  // trace is still submit -> worker -> reap): the thread spins here for
-  // the armed Param ms, exactly like a forward stuck in a pathological
-  // input, and the watchdog must recover without its cooperation.
-  util::FaultInjection::MaybeStall(util::kFaultServeWorkerStall);
-  Response response;
-  response.model_version = replica.version;
-  const Request& request = item.request;
-  CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed);
-  const bool is_canary = cohort == &canary_stats_;
-
+util::Status InferenceServer::Screen(WorkItem& item) const {
   // Checkpoint 2 (pre-tokenize / post-dequeue): time spent queued counts
   // against the budget.
   if (util::FaultInjection::Fire(util::kFaultServeExpireAtTokenize) ||
       (item.has_deadline && Clock::now() >= item.deadline)) {
     BIGCITY_COUNTER_INC("serve.deadline.pre_tokenize");
-    response.status =
-        util::Status::DeadlineExceeded("deadline expired before tokenize");
-    return response;
+    return util::Status::DeadlineExceeded("deadline expired before tokenize");
   }
-
   {
     BIGCITY_TIMED_SCOPE_NAMED("serve.validate_us", "serve.validate", "serve");
     const Clock::time_point validate_start = Clock::now();
-    util::Status status = ValidateRequest(request);
+    util::Status status = ValidateRequest(item.request);
     item.stages.validate_us += MicrosSince(validate_start, Clock::now());
     if (!status.ok()) {
       BIGCITY_COUNTER_INC("serve.quarantined");
-      response.status = std::move(status);
-      return response;
+      return status;
     }
   }
-
   // Checkpoint 3 (pre-forward): last exit before the expensive stage.
   if (util::FaultInjection::Fire(util::kFaultServeExpireAtForward) ||
       (item.has_deadline && Clock::now() >= item.deadline)) {
     BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
-    response.status =
-        util::Status::DeadlineExceeded("deadline expired before forward");
-    return response;
+    return util::Status::DeadlineExceeded("deadline expired before forward");
   }
+  return util::Status::Ok();
+}
 
-  // Graceful degradation, path 1: circuit breaker.
-  CircuitBreaker& breaker = BreakerFor(request.task);
-  const CircuitBreaker::Decision decision = breaker.Admit(Clock::now());
-  PublishBreakerState(request.task);
-  if (decision == CircuitBreaker::Decision::kReject) {
-    if (options_.degrade_when_breaker_open && DegradableTask(request.task)) {
-      BIGCITY_COUNTER_INC("serve.degraded.breaker");
-      util::Result<nn::Tensor> fallback = RunBaseline(request);
-      response.status = fallback.status();
-      if (fallback.ok()) {
-        response.output = std::move(fallback).value();
-        response.degraded = true;
-      }
-      return response;
+Response InferenceServer::Degrade(const Request& request) const {
+  util::Result<nn::Tensor> fallback = [&]() -> util::Result<nn::Tensor> {
+    switch (request.task) {
+      case core::Task::kNextHop:
+        return baseline_.NextHopScores(request.trajectory);
+      case core::Task::kTravelTimeEstimation:
+        return baseline_.TravelTimeDeltas(request.trajectory);
+      case core::Task::kTrafficOneStep:
+        return baseline_.PredictTraffic(request.segment, request.start_slice,
+                                        model_config_.traffic_input_steps, 1);
+      case core::Task::kTrafficMultiStep:
+        return baseline_.PredictTraffic(request.segment, request.start_slice,
+                                        model_config_.traffic_input_steps,
+                                        request.horizon);
+      default:
+        return util::Status::Unavailable("task has no degraded fallback");
     }
-    BIGCITY_COUNTER_INC("serve.breaker.rejected");
-    response.status = util::Status::Unavailable("circuit breaker open");
-    response.outcome = Outcome::kRejected;
-    return response;
+  }();
+  Response response;
+  response.status = fallback.status();
+  if (fallback.ok()) {
+    response.output = std::move(fallback).value();
+    response.degraded = true;
   }
-  if (decision == CircuitBreaker::Decision::kProbe) {
-    BIGCITY_COUNTER_INC("serve.breaker.probes");
-  }
-
-  // Graceful degradation, path 2: remaining budget below p95 forward time.
-  // A probe is exempt — its whole point is to exercise the real path.
-  if (decision == CircuitBreaker::Decision::kAllow && item.has_deadline &&
-      options_.degrade_on_tight_budget && DegradableTask(request.task)) {
-    const double p95_us = forward_latency_.P95(options_.latency_min_samples);
-    if (p95_us > 0 && RemainingUs(item.deadline, Clock::now()) < p95_us) {
-      BIGCITY_COUNTER_INC("serve.degraded.budget");
-      util::Result<nn::Tensor> fallback = RunBaseline(request);
-      response.status = fallback.status();
-      if (fallback.ok()) {
-        response.output = std::move(fallback).value();
-        response.degraded = true;
-      }
-      return response;
-    }
-  }
-
-  // Forward with bounded-backoff retries around transient failures.
-  // Everything between here and the start of the attempt that succeeds —
-  // backoff sleeps plus failed attempts — is the request's retry
-  // overhead in the stage breakdown.
-  const Clock::time_point attempts_start = Clock::now();
-  util::Status last_status = util::Status::Ok();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
-    if (attempt > 0) {
-      BIGCITY_COUNTER_INC("serve.retries");
-      ++response.retries;
-      double backoff_ms = options_.retry_backoff_ms *
-                          static_cast<double>(1 << std::min(attempt - 1, 3));
-      if (item.has_deadline) {
-        const double remaining_ms =
-            RemainingUs(item.deadline, Clock::now()) / 1000.0;
-        if (remaining_ms <= 0) {
-          BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
-          response.status = util::Status::DeadlineExceeded(
-              "deadline expired during retry backoff");
-          if (breaker.RecordFailure(Clock::now())) {
-            BIGCITY_COUNTER_INC("serve.breaker.opened");
-          }
-          PublishBreakerState(request.task);
-          return response;
-        }
-        backoff_ms = std::min(backoff_ms, remaining_ms);
-      }
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(backoff_ms));
-    }
-
-    if (util::FaultInjection::Fire(util::kFaultServeTokenizeFail)) {
-      last_status =
-          util::Status::Unavailable("tokenizer transient fault (injected)");
-      continue;
-    }
-    if (util::FaultInjection::Fire(util::kFaultServeForwardFail)) {
-      last_status =
-          util::Status::Unavailable("forward transient fault (injected)");
-      continue;
-    }
-
-    // The thread-local stage accumulator carves tokenize/cache time out
-    // of the forward wall time below; cleared per attempt so a retried
-    // forward never double-counts the failed attempt's stages.
-    obs::RequestStagesClear();
-    const Clock::time_point forward_start = Clock::now();
-    const bool use_kv = kv != nullptr &&
-                        kv->capacity.load(std::memory_order_relaxed) > 0 &&
-                        request.task == core::Task::kNextHop &&
-                        request.trajectory.length() >= 2;
-    util::Result<nn::Tensor> result = use_kv
-        ? RunNextHopCached(request, replica, kv)
-        : [&] {
-            // No autograd on the hot path (intermediates die
-            // immediately), and the whole forward allocates inside this
-            // worker's plan arena; the output is cloned onto the heap
-            // before the scope rewinds it.
-            nn::NoGradGuard no_grad;
-            nn::PlanScope plan_scope(plans, PlanKeyFor(request));
-            util::Result<nn::Tensor> r =
-                RunModel(request, replica.model.get());
-            if (r.ok() && plan_scope.active()) {
-              nn::ArenaPin pin;
-              r = util::Result<nn::Tensor>(r.value().Detached());
-            }
-            return r;
-          }();
-    last_status = result.status();
-    if (result.ok()) {
-      const double forward_us = MicrosSince(forward_start, Clock::now());
-      const double tokenize_us =
-          obs::RequestStageValue(obs::RequestStage::kTokenize);
-      const double cache_us =
-          obs::RequestStageValue(obs::RequestStage::kCacheLookup);
-      item.stages.retry_us += MicrosSince(attempts_start, forward_start);
-      item.stages.tokenize_us += tokenize_us;
-      item.stages.cache_lookup_us += cache_us;
-      item.stages.forward_us +=
-          std::max(0.0, forward_us - tokenize_us - cache_us);
-      nn::Tensor output = std::move(result).value();
-      if (!AllFinite(output)) {
-        // A NaN/Inf output is a model-health defect, not a transient: no
-        // retry (the same weights produce the same poison), and it stays
-        // out of the circuit breaker — the breaker protects against
-        // failing *tasks*, the rollout health gate against bad *weights*.
-        BIGCITY_COUNTER_INC("serve.nonfinite_outputs");
-        if (cohort != nullptr) cohort->RecordNonFinite();
-        response.status =
-            util::Status::Internal("model produced non-finite output");
-        return response;
-      }
-      forward_latency_.Record(forward_us);
-      BIGCITY_HISTOGRAM_RECORD("serve.forward_us", forward_us);
-      double cohort_us = forward_us;
-      if (is_canary &&
-          util::FaultInjection::Fire(util::kFaultRolloutCanaryLatency)) {
-        // Inflation is applied to the cohort sample only: the gate must
-        // see it, the budget-degradation estimator must not.
-        cohort_us += static_cast<double>(
-            util::FaultInjection::Param(util::kFaultRolloutCanaryLatency));
-      }
-      if (cohort != nullptr) cohort->RecordSuccess(cohort_us);
-      breaker.RecordSuccess();
-      PublishBreakerState(request.task);
-      response.status = util::Status::Ok();
-      response.output = std::move(output);
-      return response;
-    }
-    // Validation errors are deterministic — retrying cannot help, and they
-    // must not trip the breaker (the input is at fault, not the model).
-    if (last_status.code() == util::StatusCode::kInvalidArgument) {
-      BIGCITY_COUNTER_INC("serve.quarantined");
-      response.status = std::move(last_status);
-      return response;
-    }
-  }
-
-  item.stages.retry_us += MicrosSince(attempts_start, Clock::now());
-  BIGCITY_COUNTER_INC("serve.failures");
-  if (cohort != nullptr) cohort->RecordFailure();
-  if (breaker.RecordFailure(Clock::now())) {
-    BIGCITY_COUNTER_INC("serve.breaker.opened");
-  }
-  PublishBreakerState(request.task);
-  response.status = std::move(last_status);
   return response;
 }
 
@@ -936,18 +699,6 @@ std::optional<InferenceServer::KvSession> InferenceServer::CheckoutKvSession(
   return session;
 }
 
-bool InferenceServer::HasKvSession(KvSessionStore* kv, uint64_t version,
-                                   const data::Trajectory& trajectory) {
-  std::lock_guard<std::mutex> lock(kv->mu);
-  for (const KvSession& candidate : kv->sessions) {
-    if (candidate.version == version && candidate.cache.length() > 0 &&
-        IsServedPrefix(candidate.served, trajectory)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void InferenceServer::CheckinKvSession(KvSessionStore* kv,
                                        KvSession session) {
   std::lock_guard<std::mutex> lock(kv->mu);
@@ -962,45 +713,20 @@ void InferenceServer::CheckinKvSession(KvSessionStore* kv,
   kv->sessions.push_back(std::move(session));
 }
 
-util::Result<nn::Tensor> InferenceServer::RunNextHopCached(
-    const Request& request, Replica& replica, KvSessionStore* kv) {
-  const data::Trajectory& trajectory = request.trajectory;
-  // Longest-prefix session checkout: any session whose served trajectory
-  // is a point-for-point prefix of this one resumes its cached attention
-  // state (the longest leaves the fewest rows to decode). Sessions are
-  // version-scoped so a hot-swapped replica never reuses attention state
-  // computed by different weights.
-  std::optional<KvSession> session =
-      CheckoutKvSession(kv, replica.version, trajectory);
-  if (session.has_value()) {
-    BIGCITY_COUNTER_INC("serve.cache.kv.hit");
-  } else {
-    BIGCITY_COUNTER_INC("serve.cache.kv.miss");
-    session.emplace();
-    session->version = replica.version;
-  }
-  // KV state must survive across requests, so this forward allocates on
-  // the heap (no plan scope): the savings come from skipping the cached
-  // prefix, not from arena recycling.
-  nn::NoGradGuard no_grad;
-  util::Result<nn::Tensor> result =
-      replica.model->TryNextHopLogitsCached(trajectory, &session->cache);
-  if (!result.ok()) {
-    // Dropping the checked-out session is the failure path's cleanup: the
-    // store never sees a poisoned cache.
-    return result;
-  }
-  session->cache.DetachToHeap();
-  session->served = trajectory;
-  CheckinKvSession(kv, std::move(*session));
-  return result;
-}
-
 util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
-    core::Task task, const std::vector<WorkItem*>& items, Replica& replica,
+    const std::vector<WorkItem*>& items, Replica& replica,
     KvSessionStore* kv) {
   core::BigCityModel* model = replica.model.get();
-  switch (task) {
+  const Request& first = items[0]->request;
+  // Tasks without a batched forward dispatch alone (batch key < 0).
+  const auto alone =
+      [&](util::Result<nn::Tensor> result)
+      -> util::Result<std::vector<nn::Tensor>> {
+    BIGCITY_CHECK_EQ(items.size(), 1u);
+    if (!result.ok()) return result.status();
+    return std::vector<nn::Tensor>{std::move(result).value()};
+  };
+  switch (first.task) {
     case core::Task::kNextHop: {
       std::vector<data::Trajectory> prefixes;
       prefixes.reserve(items.size());
@@ -1018,7 +744,9 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
       // forward is what amortizes the frozen weights' memory traffic — the
       // dominant cost of a short decode — across the whole batch. Sessions
       // are worker-local while checked out and only returned to the store
-      // on success; a failed batch leaves no trace.
+      // on success; a failed batch leaves no trace. Sessions are
+      // version-scoped, so a hot-swapped replica never reuses attention
+      // state computed by different weights.
       std::vector<KvSession> sessions(items.size());
       std::vector<nn::KvCache*> caches(items.size(), nullptr);
       for (size_t i = 0; i < items.size(); ++i) {
@@ -1065,62 +793,214 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
       for (const WorkItem* item : items) {
         const Request& request = item->request;
         const int horizon =
-            task == core::Task::kTrafficOneStep ? 1 : request.horizon;
+            request.task == core::Task::kTrafficOneStep ? 1 : request.horizon;
         queries.push_back(core::BigCityModel::TrafficQuery{
             request.segment, request.start_slice, horizon});
       }
       return model->TryBatchPredictTraffic(queries);
     }
-    default:
-      return util::Status::InvalidArgument("task has no batched forward");
+    case core::Task::kTrajClassification:
+      return alone(model->TryClassifyLogits(first.trajectory));
+    case core::Task::kMostSimilarSearch:
+      return alone(model->TryEmbed(first.trajectory));
+    case core::Task::kTrajRecovery:
+      return alone(model->TryRecoverLogits(first.trajectory, first.kept));
+    case core::Task::kTrafficImputation:
+      return alone(model->TryImputeTraffic(first.segment, first.start_slice,
+                                           first.window, first.masked));
   }
+  return util::Status::InvalidArgument("unknown task");
+}
+
+util::Result<std::vector<nn::Tensor>> InferenceServer::Forward(
+    const std::vector<WorkItem*>& items, Replica& replica,
+    nn::PlanCache* plans, KvSessionStore* kv) {
+  if (util::FaultInjection::Fire(util::kFaultServeTokenizeFail)) {
+    return util::Status::Unavailable("tokenizer transient fault (injected)");
+  }
+  if (util::FaultInjection::Fire(util::kFaultServeForwardFail)) {
+    return util::Status::Unavailable("forward transient fault (injected)");
+  }
+  // No autograd on the hot path (intermediates die immediately), and the
+  // whole forward allocates inside this worker's plan arena. Plans are
+  // keyed by task + batch-size bucket, so a stable traffic mix replays a
+  // recycled arena; varying member lengths under one key just regrow it
+  // (still bit-identical). Outputs are cloned onto the heap before the
+  // scope rewinds the arena.
+  nn::NoGradGuard no_grad;
+  int64_t bucket = 1;
+  while (bucket < static_cast<int64_t>(items.size())) bucket <<= 1;
+  nn::PlanScope plan_scope(
+      plans, nn::PlanKey{core::TaskName(items[0]->request.task), bucket});
+  util::Result<std::vector<nn::Tensor>> result =
+      RunModelBatch(items, replica, kv);
+  if (result.ok() && plan_scope.active()) {
+    nn::ArenaPin pin;
+    for (nn::Tensor& output : result.value()) output = output.Detached();
+  }
+  return result;
+}
+
+std::vector<Response> InferenceServer::Deliver(
+    const std::vector<WorkItem*>& items, std::vector<nn::Tensor> outputs,
+    Clock::time_point forward_start, Replica& replica,
+    CircuitBreaker::Decision decision) {
+  const double forward_us = MicrosSince(forward_start, Clock::now());
+  // Every member waited the whole forward, so each gets the identical
+  // tokenize/cache/forward split.
+  const double tokenize_us =
+      obs::RequestStageValue(obs::RequestStage::kTokenize);
+  const double cache_us =
+      obs::RequestStageValue(obs::RequestStage::kCacheLookup);
+  CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed);
+  const bool is_canary = cohort == &canary_stats_;
+  std::vector<Response> responses(items.size());
+  bool any_ok = false;
+  for (size_t i = 0; i < items.size(); ++i) {
+    StageBreakdown& stages = items[i]->stages;
+    stages.tokenize_us += tokenize_us;
+    stages.cache_lookup_us += cache_us;
+    stages.forward_us += std::max(0.0, forward_us - tokenize_us - cache_us);
+    if (!AllFinite(outputs[i])) {
+      // A NaN/Inf output is a model-health defect, not a transient: no
+      // retry (the same weights produce the same poison), and it stays
+      // out of the circuit breaker — the breaker protects against failing
+      // *tasks*, the rollout health gate against bad *weights*.
+      BIGCITY_COUNTER_INC("serve.nonfinite_outputs");
+      if (cohort != nullptr) cohort->RecordNonFinite();
+      responses[i].status =
+          util::Status::Internal("model produced non-finite output");
+      continue;
+    }
+    double cohort_us = forward_us;
+    if (is_canary &&
+        util::FaultInjection::Fire(util::kFaultRolloutCanaryLatency)) {
+      // Inflation is applied to the cohort sample only: the gate must
+      // see it, the budget-degradation estimator must not.
+      cohort_us += static_cast<double>(
+          util::FaultInjection::Param(util::kFaultRolloutCanaryLatency));
+    }
+    if (cohort != nullptr) cohort->RecordSuccess(cohort_us);
+    responses[i].output = std::move(outputs[i]);
+    any_ok = true;
+  }
+  const core::Task task = items[0]->request.task;
+  if (any_ok) {
+    forward_latency_.Record(forward_us);
+    BIGCITY_HISTOGRAM_RECORD("serve.forward_us", forward_us);
+    BreakerFor(task).RecordSuccess();
+  } else if (decision == CircuitBreaker::Decision::kProbe) {
+    BreakerFor(task).ReleaseProbe();
+  }
+  PublishBreakerState(task);
+  return responses;
+}
+
+Response InferenceServer::ServeAlone(WorkItem& item, Replica& replica,
+                                     CircuitBreaker::Decision decision,
+                                     nn::PlanCache* plans,
+                                     KvSessionStore* kv) {
+  const core::Task task = item.request.task;
+  CircuitBreaker& breaker = BreakerFor(task);
+  Response response;
+  // Everything between here and the start of the attempt that succeeds —
+  // backoff sleeps plus failed attempts — is the request's retry
+  // overhead in the stage breakdown.
+  const Clock::time_point attempts_start = Clock::now();
+  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    if (attempt > 0) {
+      BIGCITY_COUNTER_INC("serve.retries");
+      ++response.retries;
+      double backoff_ms = options_.retry_backoff_ms *
+                          static_cast<double>(1 << std::min(attempt - 1, 3));
+      if (item.has_deadline) {
+        const double remaining_ms =
+            RemainingUs(item.deadline, Clock::now()) / 1000.0;
+        if (remaining_ms <= 0) {
+          BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
+          response.status = util::Status::DeadlineExceeded(
+              "deadline expired during retry backoff");
+          if (breaker.RecordFailure(Clock::now())) {
+            BIGCITY_COUNTER_INC("serve.breaker.opened");
+          }
+          PublishBreakerState(task);
+          return response;
+        }
+        backoff_ms = std::min(backoff_ms, remaining_ms);
+      }
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(backoff_ms));
+    }
+    // The thread-local stage accumulator carves tokenize/cache time out
+    // of the forward wall time; cleared per attempt so a retried forward
+    // never double-counts the failed attempt's stages.
+    obs::RequestStagesClear();
+    const Clock::time_point forward_start = Clock::now();
+    util::Result<std::vector<nn::Tensor>> result =
+        Forward({&item}, replica, plans, kv);
+    if (result.ok()) {
+      item.stages.retry_us += MicrosSince(attempts_start, forward_start);
+      Response delivered = std::move(Deliver(
+          {&item}, std::move(result).value(), forward_start, replica,
+          decision)[0]);
+      delivered.retries = response.retries;
+      return delivered;
+    }
+    response.status = result.status();
+    // Validation errors are deterministic — retrying cannot help, and they
+    // must not trip the breaker (the input is at fault, not the model).
+    if (response.status.code() == util::StatusCode::kInvalidArgument) {
+      BIGCITY_COUNTER_INC("serve.quarantined");
+      if (decision == CircuitBreaker::Decision::kProbe) {
+        breaker.ReleaseProbe();
+        PublishBreakerState(task);
+      }
+      return response;
+    }
+  }
+  item.stages.retry_us += MicrosSince(attempts_start, Clock::now());
+  BIGCITY_COUNTER_INC("serve.failures");
+  if (CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed)) {
+    cohort->RecordFailure();
+  }
+  if (breaker.RecordFailure(Clock::now())) {
+    BIGCITY_COUNTER_INC("serve.breaker.opened");
+  }
+  PublishBreakerState(task);
+  return response;
 }
 
 void InferenceServer::ProcessBatch(std::vector<WorkItem>& items,
                                    Replica& replica, nn::PlanCache* plans,
                                    KvSessionStore* kv) {
+  // A lone member's id is active for the whole dequeue, so every span
+  // below — tokenizer and cache spans included — is stamped with it. A
+  // shared forward carries no single request's id: one 't' step per
+  // member inside the span binds every member's flow to it, so
+  // chrome://tracing renders each request as submit -> this dequeue ->
+  // its finish, all on one connected flow.
+  BIGCITY_TRACE_ID_SCOPE(items.size() == 1 ? items[0].trace_id : 0);
   BIGCITY_TRACE_SPAN("serve.process_batch", "serve");
-  // One 't' step per member inside the batch span binds every member's
-  // flow to the shared forward: chrome://tracing renders each request as
-  // submit -> this batch -> its finish, all on one connected flow.
   for (const WorkItem& item : items) {
     BIGCITY_TRACE_FLOW("serve.request", "serve", 't', item.trace_id);
   }
-  // Same deterministic wedge site as the per-request path: every member
-  // of a stalled batch gets reaped together.
+  // Deterministic wedge site (after the flow steps so a reaped request's
+  // trace is still submit -> worker -> reap): the thread spins here for
+  // the armed Param ms, exactly like a forward stuck in a pathological
+  // input, and the watchdog must recover without its cooperation. Every
+  // member of a stalled batch gets reaped together.
   util::FaultInjection::MaybeStall(util::kFaultServeWorkerStall);
   const core::Task task = items[0].request.task;
-  CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed);
 
-  // Per-item admission stages first: every request keeps its own typed
-  // failure; only the survivors share the batched forward.
+  // Per-member checkpoints and validation: every request keeps its own
+  // typed failure; only the survivors reach the breaker.
   std::vector<WorkItem*> live;
   live.reserve(items.size());
   for (WorkItem& item : items) {
-    Response response;
-    response.model_version = replica.version;
-    if (util::FaultInjection::Fire(util::kFaultServeExpireAtTokenize) ||
-        (item.has_deadline && Clock::now() >= item.deadline)) {
-      BIGCITY_COUNTER_INC("serve.deadline.pre_tokenize");
-      response.status =
-          util::Status::DeadlineExceeded("deadline expired before tokenize");
-      Finish(item, std::move(response));
-      continue;
-    }
-    const Clock::time_point validate_start = Clock::now();
-    util::Status status = ValidateRequest(item.request);
-    item.stages.validate_us += MicrosSince(validate_start, Clock::now());
+    util::Status status = Screen(item);
     if (!status.ok()) {
-      BIGCITY_COUNTER_INC("serve.quarantined");
+      Response response;
       response.status = std::move(status);
-      Finish(item, std::move(response));
-      continue;
-    }
-    if (util::FaultInjection::Fire(util::kFaultServeExpireAtForward) ||
-        (item.has_deadline && Clock::now() >= item.deadline)) {
-      BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
-      response.status =
-          util::Status::DeadlineExceeded("deadline expired before forward");
       Finish(item, std::move(response));
       continue;
     }
@@ -1128,159 +1008,79 @@ void InferenceServer::ProcessBatch(std::vector<WorkItem>& items,
   }
   if (live.empty()) return;
 
-  // One batched forward is one unit of breaker accounting; a rejection
-  // degrades (or rejects) every member individually.
-  CircuitBreaker& breaker = BreakerFor(task);
-  const CircuitBreaker::Decision decision = breaker.Admit(Clock::now());
+  // One breaker admission per dequeue. A rejection degrades (or rejects)
+  // every member; budget degradation is decided per member, because
+  // deadlines differ across a batch. A probe is exempt from it: its whole
+  // point is to exercise the real path.
+  const CircuitBreaker::Decision decision =
+      BreakerFor(task).Admit(Clock::now());
   PublishBreakerState(task);
-  if (decision == CircuitBreaker::Decision::kReject) {
-    for (WorkItem* item : live) {
-      Response response;
-      response.model_version = replica.version;
-      if (options_.degrade_when_breaker_open && DegradableTask(task)) {
-        BIGCITY_COUNTER_INC("serve.degraded.breaker");
-        util::Result<nn::Tensor> fallback = RunBaseline(item->request);
-        response.status = fallback.status();
-        if (fallback.ok()) {
-          response.output = std::move(fallback).value();
-          response.degraded = true;
-        }
-      } else {
-        BIGCITY_COUNTER_INC("serve.breaker.rejected");
-        response.status = util::Status::Unavailable("circuit breaker open");
-        response.outcome = Outcome::kRejected;
-      }
-      Finish(*item, std::move(response));
-    }
-    return;
-  }
   if (decision == CircuitBreaker::Decision::kProbe) {
     BIGCITY_COUNTER_INC("serve.breaker.probes");
   }
-
-  // Budget degradation stays per item — deadlines differ across the batch.
-  if (decision == CircuitBreaker::Decision::kAllow &&
-      options_.degrade_on_tight_budget && DegradableTask(task)) {
-    const double p95_us = forward_latency_.P95(options_.latency_min_samples);
-    if (p95_us > 0) {
-      std::vector<WorkItem*> kept;
-      kept.reserve(live.size());
-      for (WorkItem* item : live) {
-        if (item->has_deadline &&
-            RemainingUs(item->deadline, Clock::now()) < p95_us) {
-          BIGCITY_COUNTER_INC("serve.degraded.budget");
-          Response response;
-          response.model_version = replica.version;
-          util::Result<nn::Tensor> fallback = RunBaseline(item->request);
-          response.status = fallback.status();
-          if (fallback.ok()) {
-            response.output = std::move(fallback).value();
-            response.degraded = true;
-          }
-          Finish(*item, std::move(response));
-        } else {
-          kept.push_back(item);
-        }
-      }
-      live = std::move(kept);
-      if (live.empty()) return;
-    }
-  }
-
-  // One shared forward. Plans are keyed by task + batch size, so a stable
-  // traffic mix replays a recycled arena; varying member lengths at the
-  // same size just regrow it (still bit-identical).
+  const bool budget_check =
+      decision == CircuitBreaker::Decision::kAllow &&
+      options_.degrade_on_tight_budget && DegradableTask(task);
+  double p95_us = -1;  // Read once, at the first member with a deadline.
+  std::vector<WorkItem*> members;
+  members.reserve(live.size());
   for (WorkItem* item : live) {
-    item->batch_size = static_cast<int>(live.size());
-  }
-  obs::RequestStagesClear();
-  const Clock::time_point forward_start = Clock::now();
-  const bool injected_fault =
-      util::FaultInjection::Fire(util::kFaultServeTokenizeFail) ||
-      util::FaultInjection::Fire(util::kFaultServeForwardFail);
-  util::Result<std::vector<nn::Tensor>> result =
-      injected_fault
-          ? util::Result<std::vector<nn::Tensor>>(util::Status::Unavailable(
-                "batched forward transient fault (injected)"))
-          : [&] {
-              nn::NoGradGuard no_grad;
-              int64_t bucket = 1;
-              while (bucket < static_cast<int64_t>(live.size())) bucket <<= 1;
-              nn::PlanScope plan_scope(
-                  plans,
-                  nn::PlanKey{core::TaskName(task) + ".batch", bucket});
-              util::Result<std::vector<nn::Tensor>> r =
-                  RunModelBatch(task, live, replica, kv);
-              if (r.ok() && plan_scope.active()) {
-                nn::ArenaPin pin;
-                std::vector<nn::Tensor> detached;
-                detached.reserve(r.value().size());
-                for (const nn::Tensor& tensor : r.value()) {
-                  detached.push_back(tensor.Detached());
-                }
-                r = util::Result<std::vector<nn::Tensor>>(
-                    std::move(detached));
-              }
-              return r;
-            }();
-
-  if (result.ok()) {
-    const double forward_us = MicrosSince(forward_start, Clock::now());
-    forward_latency_.Record(forward_us);
-    BIGCITY_HISTOGRAM_RECORD("serve.forward_us", forward_us);
-    // Shared-forward attribution: every member waited the whole batched
-    // forward, so each gets the identical tokenize/cache/forward split.
-    const double tokenize_us =
-        obs::RequestStageValue(obs::RequestStage::kTokenize);
-    const double cache_us =
-        obs::RequestStageValue(obs::RequestStage::kCacheLookup);
-    const double net_forward_us =
-        std::max(0.0, forward_us - tokenize_us - cache_us);
-    for (WorkItem* item : live) {
-      item->stages.tokenize_us += tokenize_us;
-      item->stages.cache_lookup_us += cache_us;
-      item->stages.forward_us += net_forward_us;
-    }
-    std::vector<nn::Tensor> outputs = std::move(result).value();
-    bool any_ok = false;
-    for (size_t i = 0; i < live.size(); ++i) {
-      Response response;
-      response.model_version = replica.version;
-      if (!AllFinite(outputs[i])) {
-        // Same policy as the per-request path: non-finite output is a
-        // model-health defect — no retry, no breaker involvement.
-        BIGCITY_COUNTER_INC("serve.nonfinite_outputs");
-        if (cohort != nullptr) cohort->RecordNonFinite();
-        response.status =
-            util::Status::Internal("model produced non-finite output");
+    if (decision == CircuitBreaker::Decision::kReject) {
+      if (DegradableTask(task)) {
+        BIGCITY_COUNTER_INC("serve.degraded.breaker");
+        Finish(*item, Degrade(item->request));
       } else {
-        if (cohort != nullptr) cohort->RecordSuccess(forward_us);
-        response.status = util::Status::Ok();
-        response.output = std::move(outputs[i]);
-        BIGCITY_COUNTER_INC("serve.completed");
-        any_ok = true;
+        BIGCITY_COUNTER_INC("serve.breaker.rejected");
+        Response response;
+        response.status = util::Status::Unavailable("circuit breaker open");
+        response.outcome = Outcome::kRejected;
+        Finish(*item, std::move(response));
       }
-      Finish(*live[i], std::move(response));
+      continue;
     }
-    if (any_ok) {
-      breaker.RecordSuccess();
-      PublishBreakerState(task);
+    if (budget_check && item->has_deadline) {
+      if (p95_us < 0) {
+        p95_us = forward_latency_.P95(options_.latency_min_samples);
+      }
+      if (p95_us > 0 && RemainingUs(item->deadline, Clock::now()) < p95_us) {
+        BIGCITY_COUNTER_INC("serve.degraded.budget");
+        Finish(*item, Degrade(item->request));
+        continue;
+      }
     }
-    return;
+    members.push_back(item);
+  }
+  if (members.empty()) return;
+  for (WorkItem* item : members) {
+    item->batch_size = static_cast<int>(members.size());
   }
 
-  // Batched attempt failed (transient fault or a member failed batch
-  // screening): fall back to per-request processing, which retries,
-  // quarantines, and feeds the breaker with exact per-item attribution.
-  BIGCITY_COUNTER_INC("serve.batch.fallback");
-  const double failed_batch_us = MicrosSince(forward_start, Clock::now());
-  for (WorkItem* item : live) {
-    // The abandoned batched attempt is retry overhead for every member —
-    // attributed so the stage partition still sums to ~total_us.
-    item->stages.retry_us += failed_batch_us;
-    Response response = Process(*item, replica, plans, kv);
-    if (response.status.ok()) BIGCITY_COUNTER_INC("serve.completed");
-    Finish(*item, std::move(response));
+  if (members.size() > 1) {
+    // One batched attempt. When it fails (a transient fault, or a member
+    // the model's own screening rejects), every member retries alone with
+    // its full budget under this dequeue's breaker decision, which keeps
+    // quarantine and breaker attribution exact per request.
+    obs::RequestStagesClear();
+    const Clock::time_point forward_start = Clock::now();
+    util::Result<std::vector<nn::Tensor>> result =
+        Forward(members, replica, plans, kv);
+    if (result.ok()) {
+      std::vector<Response> responses =
+          Deliver(members, std::move(result).value(), forward_start, replica,
+                  decision);
+      for (size_t i = 0; i < members.size(); ++i) {
+        Finish(*members[i], std::move(responses[i]));
+      }
+      return;
+    }
+    BIGCITY_COUNTER_INC("serve.batch.fallback");
+    // The abandoned attempt is retry overhead for every member, so the
+    // stage partition still sums to ~total_us.
+    const double failed_us = MicrosSince(forward_start, Clock::now());
+    for (WorkItem* item : members) item->stages.retry_us += failed_us;
+  }
+  for (WorkItem* item : members) {
+    Finish(*item, ServeAlone(*item, replica, decision, plans, kv));
   }
 }
 
@@ -1300,8 +1100,7 @@ std::shared_ptr<InferenceServer::Replica> InferenceServer::SwapWorker(
 }
 
 void InferenceServer::RegisterInflight(Heartbeat& hb,
-                                       const std::vector<WorkItem*>& items,
-                                       uint64_t model_version) {
+                                       const std::vector<WorkItem*>& items) {
   std::lock_guard<std::mutex> lock(hb.inflight_mu);
   hb.inflight.clear();
   hb.inflight.reserve(items.size());
@@ -1313,7 +1112,7 @@ void InferenceServer::RegisterInflight(Heartbeat& hb,
     record.task = item->request.task;
     record.submitted = item->submitted;
     record.queue_wait_us = item->queue_wait_us;
-    record.model_version = model_version;
+    record.model_version = item->model_version;
     hb.inflight.push_back(std::move(record));
   }
 }
@@ -1346,13 +1145,7 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
     // Idle beat before blocking: the supervisor treats a non-busy worker
     // as healthy, so a quiet queue never looks like a hang.
     hb.epoch.fetch_add(1, std::memory_order_release);
-    std::vector<WorkItem> batch;
-    if (batcher_ != nullptr) {
-      batch = batcher_->NextBatch();
-    } else {
-      std::optional<WorkItem> item = queue_.Pop();
-      if (item.has_value()) batch.push_back(std::move(*item));
-    }
+    std::vector<WorkItem> batch = batcher_->NextBatch();
     if (batch.empty()) return;  // Closed and drained.
     BIGCITY_GAUGE_SET("serve.queue_depth", queue_.depth());
     BIGCITY_HISTOGRAM_RECORD("serve.batch.size",
@@ -1382,9 +1175,7 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
       item.stages.queue_wait_us =
           std::max(0.0, item.queue_wait_us - item.batch_wait_us);
       BIGCITY_HISTOGRAM_RECORD("serve.queue_wait_us", item.queue_wait_us);
-      if (batcher_ != nullptr) {
-        BIGCITY_HISTOGRAM_RECORD("serve.batch.wait_us", item.batch_wait_us);
-      }
+      BIGCITY_HISTOGRAM_RECORD("serve.batch.wait_us", item.batch_wait_us);
     }
 
     // CoDel sojourn bound (DESIGN.md §4.16): when queue residency has sat
@@ -1421,23 +1212,19 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
     // the replacement's heartbeat.
     std::vector<WorkItem*> members;
     members.reserve(batch.size());
-    for (WorkItem& item : batch) members.push_back(&item);
+    for (WorkItem& item : batch) {
+      item.model_version = replica->version;
+      members.push_back(&item);
+    }
     const bool current = !superseded();
     if (current) {
       hb.trace_id.store(batch[0].trace_id, std::memory_order_release);
       hb.busy.store(true, std::memory_order_release);
       hb.epoch.fetch_add(1, std::memory_order_release);
-      RegisterInflight(hb, members, replica->version);
+      RegisterInflight(hb, members);
     }
 
-    if (batch.size() == 1) {
-      Response response =
-          Process(batch[0], *replica, &plan_cache, kv_sessions);
-      if (response.status.ok()) BIGCITY_COUNTER_INC("serve.completed");
-      Finish(batch[0], std::move(response));
-    } else {
-      ProcessBatch(batch, *replica, &plan_cache, kv_sessions);
-    }
+    ProcessBatch(batch, *replica, &plan_cache, kv_sessions);
 
     if (current && !superseded()) {
       ClearInflight(hb);

@@ -66,11 +66,9 @@ struct ServeOptions {
   int breaker_failure_threshold = 5;
 
   /// Open-state cooldown before the breaker admits a half-open probe.
+  /// While the breaker rejects, degradable tasks are answered by the
+  /// baseline predictor and the rest fail with kUnavailable.
   double breaker_cooldown_ms = 1000.0;
-
-  /// Answer breaker-rejected requests from the baseline predictor when the
-  /// task is degradable (otherwise they fail with kUnavailable).
-  bool degrade_when_breaker_open = true;
 
   /// Degrade when the remaining deadline budget is below the observed p95
   /// forward time (only once `latency_min_samples` forwards were seen).
@@ -91,13 +89,10 @@ struct ServeOptions {
 
   /// Continuous batching (DESIGN.md §4.14): a batcher stage between the
   /// admission queue and the workers coalesces queued same-task requests
-  /// into one batched forward. Outputs are bit-identical to per-request
-  /// execution; dispatch is deadline-aware, so a nearly-expired request
-  /// never waits for batch fill. Disabling restores the direct
-  /// queue-to-worker path.
-  bool batching = true;
-
-  /// Maximum requests per batched forward.
+  /// into one batched forward of at most batch_max requests. Outputs are
+  /// bit-identical to a batch of one; dispatch is deadline-aware, so a
+  /// nearly-expired request never waits for batch fill. batch_max = 1
+  /// turns batching off: every request dispatches alone, immediately.
   int batch_max = 8;
 
   /// How long a request may wait for co-batchable peers before its group
@@ -121,7 +116,7 @@ struct ServeOptions {
   int kv_sessions = 8;
 
   /// Per-worker inference execution plans (DESIGN.md §4.13): each worker
-  /// caches a no-autograd ExecutionPlan per (task, size-bucket) and
+  /// caches a no-autograd ExecutionPlan per (task, batch-size bucket) and
   /// replays the hot-path forward into its recycled TensorArena. Outputs
   /// are bit-identical either way; disabling falls back to plain heap
   /// allocation.
@@ -145,14 +140,12 @@ struct ServeOptions {
   double watchdog_poll_ms = 10.0;
 
   /// Memory-aware overload control (DESIGN.md §4.16): process tensor-memory
-  /// budget in bytes. Above overload_low_watermark the server halves
-  /// batch_max / KV capacity / queue bound; above overload_high_watermark
-  /// it additionally sheds new admissions with kResourceExhausted, and
-  /// recovery is hysteretic (shedding ends only below the low watermark).
-  /// 0 disables memory-based control.
+  /// budget in bytes. Above the low watermark (OverloadController::Options)
+  /// the server halves batch_max / KV capacity / queue bound; above the
+  /// high watermark it additionally sheds new admissions with
+  /// kResourceExhausted, and recovery is hysteretic (shedding ends only
+  /// below the low watermark). 0 disables memory-based control.
   int64_t mem_budget_bytes = 0;
-  double overload_high_watermark = 0.90;
-  double overload_low_watermark = 0.75;
 
   /// CoDel-style queue-residency bound: once dequeued requests have spent
   /// more than sojourn_target_ms queued continuously for one
@@ -174,8 +167,10 @@ struct ServeOptions {
 /// Multi-threaded inference server over core::BigCityModel (DESIGN.md
 /// §4.11, lifecycle §4.12). The request path is
 ///
-///   Submit -> [deadline] -> bounded queue -> worker: [deadline] ->
-///   validate -> [deadline] -> breaker/budget -> forward (retries) -> head
+///   Submit -> [deadline] -> bounded queue -> batcher -> worker, per
+///   dequeued batch of one or more same-task requests: per member
+///   [deadline] -> validate -> [deadline]; one breaker admission; per
+///   member budget; forward (retries) -> head
 ///
 /// with explicit, typed failure at every stage: kResourceExhausted when
 /// the queue is full, kDeadlineExceeded at the three cancellation
@@ -326,11 +321,13 @@ class InferenceServer {
     bool has_deadline = false;
     double queue_wait_us = 0;  // Set at dequeue; echoed in the response.
     int batch_size = 1;        // Requests sharing this item's forward.
+    /// Version of the replica the worker serves this item with, stamped at
+    /// dequeue (0 for requests that never reached a worker).
+    uint64_t model_version = 0;
     /// Process-unique id allocated at Submit; stamps this request's spans
     /// and binds its chrome://tracing flow events (DESIGN.md §4.15).
     uint64_t trace_id = 0;
-    /// Batcher pending time, stamped by the batch-dispatch callback
-    /// (stays 0 on the direct queue-to-worker path).
+    /// Batcher pending time, stamped by the batch-dispatch callback.
     double batch_wait_us = 0;
     /// Per-stage latency attribution accumulated along the request path.
     StageBreakdown stages;
@@ -433,8 +430,7 @@ class InferenceServer {
   void FinishReaped(const InflightRecord& record);
   /// Registers / clears the worker's current requests in its heartbeat
   /// slot so the supervisor can reap them without the worker's help.
-  void RegisterInflight(Heartbeat& hb, const std::vector<WorkItem*>& items,
-                        uint64_t model_version);
+  void RegisterInflight(Heartbeat& hb, const std::vector<WorkItem*>& items);
   void ClearInflight(Heartbeat& hb);
   /// Supervisor thread body: heartbeat hang scan + overload sampling at
   /// watchdog_poll_ms cadence.
@@ -453,29 +449,48 @@ class InferenceServer {
   /// (queue bound, KV capacity); the batcher reads its shrunken batch_max
   /// through its own callback.
   void ApplyOverloadState();
-  Response Process(WorkItem& item, Replica& replica, nn::PlanCache* plans,
-                   KvSessionStore* kv);
-  /// Batched request path (size >= 2, one task): per-item checkpoints,
-  /// validation, and budget degradation, then one shared batched forward.
-  /// Finishes every item; falls back to per-item Process on batch failure.
+  /// The request path: every dequeue is a batch of one or more same-task
+  /// requests (DESIGN.md §4.11, §4.14). Per-member deadline checkpoints
+  /// and validation, one breaker admission, per-member budget degradation,
+  /// then one forward attempt for the survivors. A batch of two or more
+  /// that fails splits into batches of one, each with its full retry
+  /// budget under the same breaker decision. Finishes every item.
   void ProcessBatch(std::vector<WorkItem>& items, Replica& replica,
                     nn::PlanCache* plans, KvSessionStore* kv);
+  /// Deadline checkpoints 2 and 3 around ValidateRequest; counts the exit.
+  util::Status Screen(WorkItem& item) const;
   util::Status ValidateRequest(const Request& request) const;
-  util::Result<nn::Tensor> RunModel(const Request& request,
-                                    core::BigCityModel* model);
-  /// Batched forward dispatch. For next-hop with KV enabled this is also
-  /// the batched prefill: every member gets a fresh KV session filled
-  /// with the attention state of the shared forward, so later extension
-  /// requests decode incrementally.
+  /// One forward attempt over `items` (one task): the transient-fault
+  /// sites, then RunModelBatch inside the worker's plan, with the outputs
+  /// detached from the plan arena.
+  util::Result<std::vector<nn::Tensor>> Forward(
+      const std::vector<WorkItem*>& items, Replica& replica,
+      nn::PlanCache* plans, KvSessionStore* kv);
+  /// Model dispatch for one forward attempt: the batched entry point of
+  /// next-hop, TTE and traffic prediction, the Try* call of a lone member
+  /// of any other task. For next-hop with KV enabled every member checks
+  /// out (or starts) a KV session, so a hit decodes only its new suffix
+  /// and a miss prefills a session for its extensions.
   util::Result<std::vector<nn::Tensor>> RunModelBatch(
-      core::Task task, const std::vector<WorkItem*>& items, Replica& replica,
+      const std::vector<WorkItem*>& items, Replica& replica,
       KvSessionStore* kv);
-  /// Next-hop forward through the worker's KV session store: a session
-  /// whose served trajectory is a prefix of the request's resumes its
-  /// cached attention state and decodes only the new suffix + [CLAS].
-  util::Result<nn::Tensor> RunNextHopCached(const Request& request,
-                                            Replica& replica,
-                                            KvSessionStore* kv);
+  /// Responses for the members of a successful forward attempt that
+  /// started at `forward_start`: stage split, per-member non-finite screen
+  /// and cohort sample, and the verdict on the dequeue's breaker
+  /// `decision` (success when any output is finite; a probe whose outputs
+  /// are all non-finite is released without one).
+  std::vector<Response> Deliver(const std::vector<WorkItem*>& items,
+                                std::vector<nn::Tensor> outputs,
+                                std::chrono::steady_clock::time_point
+                                    forward_start,
+                                Replica& replica,
+                                CircuitBreaker::Decision decision);
+  /// Serves one admitted request alone: forward attempts with bounded
+  /// backoff retries, quarantine on kInvalidArgument, and exactly one
+  /// breaker resolution of `decision` on every exit.
+  Response ServeAlone(WorkItem& item, Replica& replica,
+                      CircuitBreaker::Decision decision,
+                      nn::PlanCache* plans, KvSessionStore* kv);
   /// Longest-prefix session checkout: among stored sessions of `version`
   /// whose served trajectory is a point-for-point prefix of `trajectory`,
   /// removes and returns the one covering the most points (nullopt when
@@ -484,13 +499,12 @@ class InferenceServer {
   static std::optional<KvSession> CheckoutKvSession(
       KvSessionStore* kv, uint64_t version,
       const data::Trajectory& trajectory);
-  /// Non-consuming form of the CheckoutKvSession predicate.
-  static bool HasKvSession(KvSessionStore* kv, uint64_t version,
-                           const data::Trajectory& trajectory);
   /// Returns a session to the store, evicting the least-recently-used
   /// stored session at capacity and stamping the LRU tick.
   static void CheckinKvSession(KvSessionStore* kv, KvSession session);
-  util::Result<nn::Tensor> RunBaseline(const Request& request) const;
+  /// The baseline predictor's answer (OK and degraded), or kUnavailable
+  /// for a task without one.
+  Response Degrade(const Request& request) const;
   CircuitBreaker& BreakerFor(core::Task task);
   void PublishBreakerState(core::Task task);
   util::Status LoadReplicaWeights(core::BigCityModel* replica,
@@ -515,7 +529,7 @@ class InferenceServer {
 
   BaselinePredictor baseline_;
   AdmissionQueue<WorkItem> queue_;
-  std::unique_ptr<Batcher<WorkItem>> batcher_;  // Null when batching off.
+  std::unique_ptr<Batcher<WorkItem>> batcher_;
   std::unique_ptr<core::SpatialRepCache> shared_reps_;  // Null when off.
   KvSessionStore kv_sessions_;  // Capacity 0 when KV caching is off.
   LatencyEstimator forward_latency_;

@@ -161,11 +161,12 @@ TEST_F(BatchTest, KvCachedNextHopBitIdenticalAcrossExtensions) {
   const data::Trajectory& full = AnyTrajectory(6);
   const int max_len = std::min(full.length(), 8);
   nn::KvCache cache;
+  const std::vector<nn::KvCache*> caches = {&cache};
   std::vector<int64_t> lengths;
   for (int len = 2; len <= max_len; ++len) {
     SCOPED_TRACE(len);
     data::Trajectory prefix = Prefix(full, len);
-    nn::Tensor cached = model_->NextHopLogitsCached(prefix, &cache);
+    nn::Tensor cached = model_->BatchNextHopLogits({prefix}, &caches)[0];
     ExpectBitIdentical(cached, model_->NextHopLogits(prefix));
     lengths.push_back(cache.length());
   }
@@ -180,12 +181,13 @@ TEST_F(BatchTest, KvCacheColdStartMatchesFullForward) {
   nn::NoGradGuard no_grad;
   const data::Trajectory prefix = Prefix(AnyTrajectory(4), 3);
   nn::KvCache cache;
-  nn::Tensor first = model_->NextHopLogitsCached(prefix, &cache);
+  const std::vector<nn::KvCache*> caches = {&cache};
+  nn::Tensor first = model_->BatchNextHopLogits({prefix}, &caches)[0];
   EXPECT_GT(cache.length(), 0);
   ExpectBitIdentical(first, model_->NextHopLogits(prefix));
   // Re-serving the same prefix truncates and re-decodes the final rows —
   // still bit-identical.
-  nn::Tensor again = model_->NextHopLogitsCached(prefix, &cache);
+  nn::Tensor again = model_->BatchNextHopLogits({prefix}, &caches)[0];
   ExpectBitIdentical(again, first);
 }
 
@@ -224,8 +226,9 @@ TEST_F(BatchTest, BatchedCachedDecodeMixedBatchBitIdentical) {
   EXPECT_GT(cache_a.length(), warm_a);
   EXPECT_GT(cache_b.length(), warm_b);
   EXPECT_GT(cache_c.length(), 0);
+  const std::vector<nn::KvCache*> only_c = {&cache_c};
   nn::Tensor extended =
-      model_->NextHopLogitsCached(Prefix(full, 3), &cache_c);
+      model_->BatchNextHopLogits({Prefix(full, 3)}, &only_c)[0];
   ExpectBitIdentical(extended, model_->NextHopLogits(Prefix(full, 3)));
 }
 
@@ -241,7 +244,8 @@ using NamedOutputs = std::vector<std::pair<std::string, nn::Tensor>>;
 /// Every inference entry point on fixed inputs, in a fixed order: the Try*
 /// call of each of the eight tasks, batched next-hop with no caches, null
 /// entries, empty caches and caches populated by shorter prefixes, batched
-/// TTE and traffic, and a single KV-cached decode from empty and populated.
+/// TTE and traffic, and a one-element KV-cached decode from empty and
+/// populated.
 NamedOutputs RunEveryEntryPoint(core::BigCityModel* model,
                                 const data::Trajectory& full) {
   NamedOutputs out;
@@ -296,10 +300,11 @@ NamedOutputs RunEveryEntryPoint(core::BigCityModel* model,
   add_all("batched traffic",
           model->TryBatchPredictTraffic({{0, 0, 1}, {1, 2, 6}, {2, 1, 3}}));
   nn::KvCache session;
-  add("cached next-hop, empty cache",
-      model->TryNextHopLogitsCached(prefix(4), &session));
-  add("cached next-hop, populated cache",
-      model->TryNextHopLogitsCached(prefix(6), &session));
+  const std::vector<nn::KvCache*> one_session = {&session};
+  add_all("cached next-hop, empty cache",
+          model->TryBatchNextHopLogits({prefix(4)}, &one_session));
+  add_all("cached next-hop, populated cache",
+          model->TryBatchNextHopLogits({prefix(6)}, &one_session));
   return out;
 }
 
@@ -687,7 +692,6 @@ class BatchServeTest : public BatchTest {
     options.num_workers = 1;
     options.queue_capacity = 64;
     options.retry_backoff_ms = 0.1;
-    options.batching = true;
     options.batch_max = 8;
     options.batch_window_us = 200.0;
     return options;
@@ -806,7 +810,7 @@ TEST_F(BatchServeTest, KvSessionServesExtensionsBitIdentically) {
 TEST_F(BatchServeTest, BatchingOffMatchesBatchingOn) {
   ServeOptions on = BatchingOptions();
   ServeOptions off = BatchingOptions();
-  off.batching = false;
+  off.batch_max = 1;
   off.kv_sessions = 0;
   off.tokenizer_cache_slices = 0;
 

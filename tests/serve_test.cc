@@ -153,6 +153,22 @@ TEST(CircuitBreakerTest, FailedProbeReopens) {
             CircuitBreaker::Decision::kReject);
 }
 
+TEST(CircuitBreakerTest, ReleasedProbeStaysHalfOpenAndProbesAgain) {
+  const auto t0 = std::chrono::steady_clock::now();
+  CircuitBreaker breaker(1, 10);
+  EXPECT_TRUE(breaker.RecordFailure(t0));
+  const auto t1 = t0 + std::chrono::milliseconds(11);
+  EXPECT_EQ(breaker.Admit(t1), CircuitBreaker::Decision::kProbe);
+  EXPECT_EQ(breaker.Admit(t1), CircuitBreaker::Decision::kReject);
+  // No verdict: the state and failure count stand, the slot comes back.
+  breaker.ReleaseProbe();
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
+  EXPECT_EQ(breaker.consecutive_failures(), 1);
+  EXPECT_EQ(breaker.Admit(t1), CircuitBreaker::Decision::kProbe);
+  breaker.RecordSuccess();
+  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+}
+
 // --- Happy path -------------------------------------------------------------
 
 TEST_F(ServeTest, ResponseBitIdenticalToDirectForward) {
@@ -442,6 +458,128 @@ TEST_F(ServeTest, HalfOpenProbeClosesBreakerOnSuccess) {
   ExpectCounterDelta("serve.breaker.probes", probes_before, 1);
   EXPECT_EQ(server.breaker_state(core::Task::kNextHop),
             CircuitBreaker::State::kClosed);
+}
+
+/// Server whose breakers open on one failure and probe on the next admit,
+/// with no retries: each request is exactly one breaker verdict.
+ServeOptions HairTriggerBreaker(ServeOptions options) {
+  options.queue_capacity = 16;
+  options.max_retries = 0;
+  options.breaker_failure_threshold = 1;
+  options.breaker_cooldown_ms = 0;
+  return options;
+}
+
+TEST_F(ServeTest, FailedBatchedProbeSplitsUnderTheSameAdmission) {
+  InferenceServer server(dataset_, model_config_,
+                         HairTriggerBreaker(FastOptions()), prototype_);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    util::ScopedFault fault(util::kFaultServeForwardFail, 0, 1);
+    EXPECT_EQ(server.ServeSync(NextHopRequest()).outcome, Outcome::kFailed);
+  }
+  ASSERT_EQ(server.breaker_state(core::Task::kNextHop),
+            CircuitBreaker::State::kOpen);
+
+  // Park the worker on a classification decoy so four next-hop requests
+  // queue behind it and dispatch as one batch, admitted as the probe.
+  util::ScopedFault hold(util::kFaultServeWorkerHold, 0, 1, /*param=*/1);
+  Request decoy;
+  decoy.task = core::Task::kTrajClassification;
+  decoy.trajectory = AnyTrajectory();
+  std::future<Response> parked = server.Submit(decoy);
+  while (hold.fire_count() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(server.Submit(NextHopRequest()));
+  }
+  // The decoy's attempt passes the site once; the batched attempt fails.
+  util::ScopedFault fail(util::kFaultServeForwardFail, /*skip=*/1,
+                         /*count=*/1);
+  util::FaultInjection::Disarm(util::kFaultServeWorkerHold);
+  ASSERT_TRUE(parked.get().status.ok());
+
+  // Every member retried alone under the batch's probe admission: served
+  // by the model, not parked on the baseline behind a second Admit.
+  for (auto& future : futures) {
+    Response response = future.get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_FALSE(response.degraded);
+    EXPECT_EQ(response.batch_size, 4);
+  }
+  EXPECT_EQ(fail.fire_count(), 1);
+  EXPECT_EQ(server.breaker_state(core::Task::kNextHop),
+            CircuitBreaker::State::kClosed);
+  for (int i = 0; i < 20; ++i) {
+    Response response = server.ServeSync(NextHopRequest());
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_FALSE(response.degraded);
+  }
+}
+
+TEST_F(ServeTest, QuarantinedProbeReturnsTheProbe) {
+  InferenceServer server(dataset_, model_config_,
+                         HairTriggerBreaker(FastOptions()), prototype_);
+  ASSERT_TRUE(server.Start().ok());
+  Request recovery;
+  recovery.task = core::Task::kTrajRecovery;
+  recovery.trajectory = AnyTrajectory();
+  if (recovery.trajectory.length() > 10) {
+    recovery.trajectory.points.resize(10);
+  }
+  const int length = recovery.trajectory.length();
+  recovery.kept = {0, 2, length - 1};
+  {
+    util::ScopedFault fault(util::kFaultServeForwardFail, 0, 1);
+    EXPECT_EQ(server.ServeSync(recovery).outcome, Outcome::kFailed);
+  }
+  ASSERT_EQ(server.breaker_state(core::Task::kTrajRecovery),
+            CircuitBreaker::State::kOpen);
+
+  // The server's validation only counts kept indices; the model's own
+  // screening rejects their order, so the probe ends quarantined.
+  Request unordered = recovery;
+  unordered.kept = {0, 3, 2, length - 1};
+  Response quarantined = server.ServeSync(unordered);
+  EXPECT_EQ(quarantined.status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(quarantined.outcome, Outcome::kQuarantined);
+
+  // The slot came back: the next valid request probes and closes.
+  Response probe = server.ServeSync(recovery);
+  ASSERT_TRUE(probe.status.ok()) << probe.status.ToString();
+  EXPECT_EQ(server.breaker_state(core::Task::kTrajRecovery),
+            CircuitBreaker::State::kClosed);
+}
+
+TEST_F(ServeTest, NonFiniteProbeReturnsTheProbe) {
+  core::BigCityModel poisoned(dataset_, model_config_);
+  for (nn::Tensor parameter : poisoned.backbone()->Parameters()) {
+    parameter.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  }
+  InferenceServer server(dataset_, model_config_,
+                         HairTriggerBreaker(FastOptions()), &poisoned);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    util::ScopedFault fault(util::kFaultServeForwardFail, 0, 1);
+    EXPECT_EQ(server.ServeSync(NextHopRequest()).outcome, Outcome::kFailed);
+  }
+  ASSERT_EQ(server.breaker_state(core::Task::kNextHop),
+            CircuitBreaker::State::kOpen);
+
+  // A poisoned output judges the weights, not the task: each probe
+  // reports it and returns the slot, so the next request probes the model
+  // again instead of staying on the baseline.
+  const uint64_t probes_before = CounterValue("serve.breaker.probes");
+  for (int i = 0; i < 3; ++i) {
+    Response response = server.ServeSync(NextHopRequest());
+    EXPECT_EQ(response.status.code(), util::StatusCode::kInternal);
+    EXPECT_FALSE(response.degraded);
+  }
+  ExpectCounterDelta("serve.breaker.probes", probes_before, 3);
+  EXPECT_EQ(server.breaker_state(core::Task::kNextHop),
+            CircuitBreaker::State::kHalfOpen);
 }
 
 // --- Graceful degradation on tight budgets ----------------------------------
@@ -734,11 +872,11 @@ TEST_F(ServeTest, BatchedRequestFlowsConnectAcrossThreads) {
         });
   };
   for (const Response& response : responses) {
-    if (response.batch_size <= 1) continue;
     SCOPED_TRACE(response.trace_id);
-    // One connected flow: start at submit, step where the batch forward
-    // picked the request up, finish at response delivery — spanning at
-    // least the client thread and a worker thread.
+    // One connected flow: start at submit, step where the dequeue's
+    // forward picked the request up (the decoy is a batch of one), finish
+    // at response delivery — spanning at least the client thread and a
+    // worker thread.
     bool start = false, step = false, finish = false;
     std::set<uint32_t> threads;
     for (const obs::TraceEvent& event : events) {

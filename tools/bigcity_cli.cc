@@ -83,7 +83,7 @@ struct CliOptions {
   int queue_capacity = 16;
   double deadline_ms = 0;     // <= 0: no per-request deadline.
   // Continuous batching (DESIGN.md §4.14).
-  bool batching = true;       // --no-batching: per-request forwards.
+  bool batching = true;       // --no-batching: batch_max 1, no caches.
   int batch_max = 8;          // Coalesce at most this many requests.
   double batch_window_us = 200.0;  // Max wait for batch-mates.
   // Model lifecycle (DESIGN.md §4.12).
@@ -133,8 +133,8 @@ void PrintUsage() {
       "                    forward (default 8); outputs are bit-identical\n"
       "                    to per-request forwards for any N\n"
       "  --batch-window-us F serve: max wait for batch-mates (default 200)\n"
-      "  --no-batching     serve: disable the batcher stage (per-request\n"
-      "                    forwards, no shared tokenizer/KV caches)\n"
+      "  --no-batching     serve: batch max 1 (every request forwards\n"
+      "                    alone; no shared tokenizer/KV caches)\n"
       "  --model-dir D     serve: watch D for published versions and\n"
       "                    hot-swap them through the canary gate;\n"
       "                    publish: versioned destination directory\n"
@@ -453,12 +453,12 @@ int RunServe(const CliOptions& options) {
   serve_options.num_workers = std::max(1, options.workers);
   serve_options.queue_capacity = std::max(1, options.queue_capacity);
   serve_options.default_deadline_ms = options.deadline_ms;
-  serve_options.batching = options.batching;
   serve_options.batch_max = std::max(1, options.batch_max);
   serve_options.batch_window_us = std::max(0.0, options.batch_window_us);
   if (!options.batching) {
-    // Per-request forwards all the way down: no shared tokenizer rep
-    // cache, no KV sessions (matches bench_serve's batching-off arm).
+    // Batches of one all the way down: no shared tokenizer rep cache, no
+    // KV sessions (matches bench_serve's batching-off arm).
+    serve_options.batch_max = 1;
     serve_options.tokenizer_cache_slices = 0;
     serve_options.kv_sessions = 0;
   }
