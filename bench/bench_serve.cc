@@ -4,10 +4,10 @@
 // shed rate per load level, plus
 //   - a batching A/B: an autoregressive walk workload (clients decode
 //     trajectories hop by hop) at the same three load levels against a
-//     batching-off server (batch max 1, no tokenizer rep cache, no KV
-//     sessions) and a batching-on server (DESIGN.md §4.14), both with a
-//     deadline and a queue wide enough to admit the whole closed loop,
-//     reporting the 4x-load throughput ratio and the mean batch size, and
+//     batching-off server (batch max 1, no KV sessions) and a batching-on
+//     server (DESIGN.md §4.14), both with a deadline and a queue wide
+//     enough to admit the whole closed loop, reporting the 4x-load
+//     throughput ratio and the mean batch size, and
 //   - a "reload under load" section measuring the same numbers across a
 //     live hot-swap (a version published mid-run at 2x load; §4.12).
 // Prints tables and writes BENCH_serve.json in the working directory;
@@ -355,8 +355,8 @@ int main(int argc, char** argv) {
   // --- Batching A/B ------------------------------------------------------
   // An autoregressive closed loop (clients decode trajectories hop by
   // hop), twice: once against the pre-batching runtime shape (batches of
-  // one, no shared tokenizer cache, no KV sessions) and once with the
-  // continuous-batching engine (batched prefill + KV extension decodes).
+  // one, no KV sessions) and once with the continuous-batching engine
+  // (batched prefill + KV extension decodes).
   // Both arms get the serving deadline and a queue wide enough to admit
   // every 4x client, so the only variable is the engine — the headline
   // number is the 4x throughput ratio.
@@ -387,7 +387,6 @@ int main(int argc, char** argv) {
                                          4 * workers);
     } else {
       arm_options.batch_max = 1;
-      arm_options.tokenizer_cache_slices = 0;
       arm_options.kv_sessions = 0;
     }
     serve::InferenceServer ab_server(&dataset, ab_config, arm_options);
@@ -436,8 +435,8 @@ int main(int argc, char** argv) {
     reload_options.default_deadline_ms = 250;
     reload_options.rollout.model_dir = model_dir;
     reload_options.rollout.poll_interval_ms = 20;
-    // The latency criterion is effectively disabled (the staged replica
-    // keeps hitting cold per-trajectory caches for the whole canary
+    // The latency criterion is effectively disabled (the staged version
+    // keeps hitting cold per-trajectory KV sessions for the whole canary
     // window under this pool, which is exactly the false-positive the
     // gate's slow-start exists for, magnified by 2x overload): this is a
     // throughput bench measuring swap mechanics, not gate sensitivity —
@@ -666,8 +665,8 @@ int main(int argc, char** argv) {
               off_4x.Throughput(), on_4x.Throughput(), speedup_4x,
               on_4x.MeanBatchSize(),
               p99_within_deadline ? "within" : "OVER", deadline_ms);
-  std::printf("batching-on caches: kv %llu hit / %llu miss, tokenizer "
-              "%llu hit / %llu miss, %llu batch fallbacks\n",
+  std::printf("batching-on caches: kv %llu hit / %llu miss, ST feature "
+              "library %llu hit / %llu miss, %llu batch fallbacks\n",
               static_cast<unsigned long long>(on_counters.kv_hit),
               static_cast<unsigned long long>(on_counters.kv_miss),
               static_cast<unsigned long long>(on_counters.tok_hit),

@@ -128,8 +128,8 @@ serve_smoke() {
   grep -q '"serve.e2e_us"' "$out/serve_metrics.json"
   # Per-worker inference plans engaged during the replay.
   grep -q '"plan.cache.hit"' "$out/serve_metrics.json"
-  # Batching engaged during the replay, and the shared tokenizer rep
-  # cache saw hits across workers.
+  # Batching engaged during the replay, and requests read the served
+  # version's ST feature library (filled once when the version was built).
   grep -q '"serve.batch.size"' "$out/serve_metrics.json"
   grep -q '"serve.cache.tokenizer.hit"' "$out/serve_metrics.json"
   # Live SLO telemetry (DESIGN.md §4.15): the exporter streamed deltas and
@@ -232,9 +232,10 @@ run_tsan() {
   local out="ci-artifacts/tsan"
   rm -rf "$out"
   mkdir -p "$out"
-  # The smoke drives the full engine — admission, batcher coalescing,
-  # shared tokenizer/KV caches, hot-swap reload — with every cross-thread
-  # handoff under the race detector. TSan aborts the run on a report.
+  # The smoke drives the full engine — admission, batcher coalescing, one
+  # model per version shared by every worker, KV sessions, hot-swap
+  # reload — with every cross-thread handoff under the race detector. TSan
+  # aborts the run on a report.
   (cd "$out" && "../../build-ci-tsan/bench/bench_serve" --fast --workers 4 \
     --requests 4 --trace-out serve_trace.json)
   grep -q '"mean_batch_size"' "$out/BENCH_serve.json"

@@ -51,6 +51,7 @@ def validate_serve(d):
     assert batching["mean_batch_size_4x"] > 1, batching
     assert batching["p99_within_deadline"] is True, batching
     counters = batching["counters"]
+    # Requests read the served version's ST feature library.
     assert counters["serve.cache.tokenizer.hit"] > 0, counters
     assert counters["serve.cache.kv.hit"] > 0, counters
     reload_ = bench["reload"]
@@ -65,19 +66,26 @@ def validate_serve(d):
     batch_size = metrics["histograms"]["serve.batch.size"]
     assert batch_size["count"] > 0, batch_size
     assert batch_size["sum"] / batch_size["count"] > 1, batch_size
-    assert metrics["counters"]["serve.cache.tokenizer.hit"] > 0, (
-        metrics["counters"])
+    # Each version's ST feature library is filled once, when the version
+    # is built (DESIGN.md §4.11): the replay's requests read it, and its
+    # fills number at most one library per weight version served. A slice
+    # filled on the request path breaks the bound.
+    counters = metrics["counters"]
+    gauges = metrics["gauges"]
+    assert counters["serve.cache.tokenizer.hit"] > 0, counters
+    versions = 1 + int(gauges.get("serve.rollout.generation", 0))
+    library_slices = int(gauges["core.st_library.slices"])
+    library_fills = counters.get("serve.cache.tokenizer.miss", 0)
+    assert 0 < library_fills <= library_slices * versions, (
+        library_fills, library_slices, versions)
     # Frozen weights are packed once and shared (DESIGN.md §4.8): the replay
     # read prepacked panels, and it packed each weight once per weight
     # version served. The bound is the packings still alive at the end (the
-    # replicas, which outlive the snapshot, share one per weight content),
-    # a count that a forward repacking a weight does not raise: the new
-    # packing replaces the old one in the weight's slot.
-    counters = metrics["counters"]
-    gauges = metrics["gauges"]
+    # served model, which outlives the snapshot, shares one per weight
+    # content), a count that a forward repacking a weight does not raise:
+    # the new packing replaces the old one in the weight's slot.
     prepacked = counters.get("kernels.gemm.prepacked_calls", 0)
     assert prepacked > 0, counters
-    versions = 1 + int(gauges.get("serve.rollout.generation", 0))
     weights = int(gauges["kernels.pack.live_packings"])
     packings = counters["kernels.pack.packings"]
     assert 0 < packings <= weights * versions, (packings, weights, versions)
@@ -95,6 +103,7 @@ def validate_serve(d):
                                                    versions)
     print(f"serve json validation ok: {len(levels)} load levels + reload, "
           f"mean batch size {batch_size['sum'] / batch_size['count']:.2f}, "
+          f"{library_fills} library fills of {library_slices} slices, "
           f"{prepacked} prepacked GEMMs, {packings} packings of "
           f"{weights} live packed weights x {versions} version(s), "
           f"{kv_hits} instruction K/V hits, {kv_fills} fills of "

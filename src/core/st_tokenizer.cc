@@ -11,58 +11,6 @@ namespace bigcity::core {
 
 using nn::Tensor;
 
-std::optional<Tensor> SpatialRepCache::Get(uint64_t version, int slice) {
-  BIGCITY_REQUEST_STAGE_TIMED(kCacheLookup);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& entry : entries_) {
-    if (entry.version == version && entry.slice == slice) {
-      entry.tick = ++tick_;
-      ++hits_;
-      BIGCITY_COUNTER_INC("serve.cache.tokenizer.hit");
-      return entry.rep;
-    }
-  }
-  ++misses_;
-  BIGCITY_COUNTER_INC("serve.cache.tokenizer.miss");
-  return std::nullopt;
-}
-
-void SpatialRepCache::Put(uint64_t version, int slice, const Tensor& rep) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& entry : entries_) {
-    if (entry.version == version && entry.slice == slice) return;
-  }
-  if (entries_.size() >= capacity_) {
-    auto oldest = std::min_element(
-        entries_.begin(), entries_.end(),
-        [](const Entry& a, const Entry& b) { return a.tick < b.tick; });
-    entries_.erase(oldest);
-    BIGCITY_COUNTER_INC("serve.cache.tokenizer.evict");
-  }
-  entries_.push_back(Entry{version, slice, rep, ++tick_});
-}
-
-void SpatialRepCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
-uint64_t SpatialRepCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-uint64_t SpatialRepCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-size_t SpatialRepCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 StTokenizer::StTokenizer(const roadnet::RoadNetwork* network,
                          const data::TrafficStateSeries* traffic,
                          const BigCityConfig& config, util::Rng* rng,
@@ -125,6 +73,18 @@ void StTokenizer::EndStep() {
   if (library_has_graph_ || !SpatialPathFrozen()) BeginStep();
 }
 
+void StTokenizer::FillLibrary() {
+  BeginStep();
+  nn::NoGradGuard no_grad;
+  // SpatialRepresentations maps every slice to 0 without dynamics, and
+  // TrafficStateSeries::SliceOf clamps into [0, num_slices).
+  const int slices = traffic_ != nullptr && dynamic_encoder_ != nullptr
+                         ? traffic_->num_slices()
+                         : 1;
+  for (int slice = 0; slice < slices; ++slice) SpatialRepresentations(slice);
+  BIGCITY_GAUGE_SET("core.st_library.slices", slices);
+}
+
 bool StTokenizer::SpatialPathFrozen() const {
   return std::none_of(spatial_parameters_.begin(), spatial_parameters_.end(),
                       [](const Tensor& p) { return p.requires_grad(); });
@@ -153,31 +113,23 @@ Tensor StTokenizer::DynamicWindowFeatures(int slice) const {
 
 Tensor StTokenizer::SpatialRepresentations(int slice) {
   if (traffic_ == nullptr || dynamic_encoder_ == nullptr) slice = 0;
-  const bool graph = nn::GradEnabled() && !SpatialPathFrozen();
+  const bool grad = nn::GradEnabled();
+  const bool graph = grad && !SpatialPathFrozen();
   if (graph != library_has_graph_) {
     BeginStep();
     library_has_graph_ = graph;
   }
   if (auto it = slice_cache_.find(slice); it != slice_cache_.end()) {
+    if (!grad) BIGCITY_COUNTER_INC("serve.cache.tokenizer.hit");
     return it->second;
   }
+  if (!grad) BIGCITY_COUNTER_INC("serve.cache.tokenizer.miss");
   // A graph fill stays in the step arena; EndStep() drops it before the
   // arena rewinds. A graph-free fill outlives the step or request, so it
   // is pinned to the heap.
   std::optional<nn::ArenaPin> pin;
   if (!graph) pin.emplace();
   const int num_segments = network_->num_segments();
-
-  // Serving: consult the cross-worker shared cache before paying for the
-  // GAT passes. Entries are version-tagged, so a hot-swapped replica never
-  // reads representations computed by different weights.
-  const bool share = shared_reps_ != nullptr && !nn::GradEnabled();
-  if (share) {
-    if (auto hit = shared_reps_->Get(shared_version_, slice)) {
-      slice_cache_.emplace(slice, *hit);
-      return *hit;
-    }
-  }
 
   // Static representations H^(s) (Eq. 4) — slice-independent, cached once.
   if (!cached_static_.is_valid()) {
@@ -208,7 +160,6 @@ Tensor StTokenizer::SpatialRepresentations(int slice) {
   if (fusion_ != nullptr) fused = fusion_->Forward(fused);
 
   slice_cache_.emplace(slice, fused);
-  if (share) shared_reps_->Put(shared_version_, slice, fused);
   return fused;
 }
 
@@ -220,23 +171,27 @@ Tensor StTokenizer::Tokenize(const data::StUnitSequence& sequence) {
 Tensor StTokenizer::TokenizeWithHiddenTimes(
     const data::StUnitSequence& sequence,
     const std::vector<bool>& hide_time) {
-  // Stage attribution for the serving breakdown; nested cache probes
-  // subtract themselves, so tokenize and cache_lookup stay disjoint.
+  // Stage attribution for the serving breakdown.
   BIGCITY_REQUEST_STAGE_TIMED(kTokenize);
   const int length = sequence.length();
   BIGCITY_CHECK_GT(length, 0);
   BIGCITY_CHECK_EQ(static_cast<int>(hide_time.size()), length);
 
-  // Gather s_{i, t_l} for every position, grouping by slice so each slice's
-  // representation matrix is computed once.
+  // Gather s_{i, t_l} for every position. Timestamps ascend, so positions
+  // sharing a slice are adjacent and share one library lookup.
   std::vector<Tensor> position_reps;
   position_reps.reserve(static_cast<size_t>(length));
+  int reps_slice = -1;
+  Tensor reps;
   for (int l = 0; l < length; ++l) {
     const int slice =
         traffic_ != nullptr ? traffic_->SliceOf(sequence.timestamps[
                                   static_cast<size_t>(l)])
                             : 0;
-    Tensor reps = SpatialRepresentations(slice);
+    if (slice != reps_slice) {
+      reps = SpatialRepresentations(slice);
+      reps_slice = slice;
+    }
     position_reps.push_back(
         nn::Rows(reps, {sequence.segments[static_cast<size_t>(l)]}));
   }

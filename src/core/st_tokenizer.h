@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -19,44 +17,6 @@
 #include "roadnet/road_network.h"
 
 namespace bigcity::core {
-
-/// Thread-safe cross-replica cache of spatial representation matrices for
-/// serving: every worker's tokenizer recomputes the same static+dynamic GAT
-/// pass for a given traffic time slice, so the serving runtime shares one
-/// heap-pinned [I, 2*Dh] matrix per (model version, slice) across all
-/// workers. Keying by version invalidates naturally on hot-swap: a new
-/// replica generation never reads representations produced by old weights.
-/// Values are immutable after insertion (tensors are shared by handle), so
-/// concurrent readers need no further synchronization. Bounded LRU.
-class SpatialRepCache {
- public:
-  explicit SpatialRepCache(size_t capacity = 64) : capacity_(capacity) {}
-
-  /// Returns the cached representation for (version, slice), if present.
-  std::optional<nn::Tensor> Get(uint64_t version, int slice);
-  /// Inserts (first writer wins; concurrent duplicate computes are benign
-  /// because every replica of a version produces identical values).
-  void Put(uint64_t version, int slice, const nn::Tensor& rep);
-  void Clear();
-
-  uint64_t hits() const;
-  uint64_t misses() const;
-  size_t size() const;
-
- private:
-  struct Entry {
-    uint64_t version;
-    int slice;
-    nn::Tensor rep;
-    uint64_t tick;
-  };
-  mutable std::mutex mu_;
-  size_t capacity_;
-  uint64_t tick_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  std::vector<Entry> entries_;
-};
 
 /// The Spatiotemporal Tokenizer (Sec. IV-B): converts ST-unit sequences into
 /// ST-token sequences. Pipeline per Eq. 4-8:
@@ -82,6 +42,12 @@ class SpatialRepCache {
 ///     never reads a graph-free entry, and vice versa.
 ///   * Weight loads do not reach the library: call BeginStep() after
 ///     loading or copying the tokenizer's weights.
+///   * Serving fills the whole library once per model version
+///     (FillLibrary()). After that a no-grad lookup only reads it, so
+///     concurrent autograd-free forwards can share one model.
+///   * No-grad lookups count `serve.cache.tokenizer.hit` when the library
+///     holds the slice and `serve.cache.tokenizer.miss` when they fill it;
+///     lookups with grad on count nothing.
 class StTokenizer : public nn::Module {
  public:
   /// `poi` is optional (the future-work POI extension): when given, its
@@ -101,6 +67,12 @@ class StTokenizer : public nn::Module {
   /// anything else.
   void EndStep();
 
+  /// Drops the library and refills it graph-free for every slice a lookup
+  /// can reach: [0, num_slices), or slice 0 alone without a traffic series
+  /// or a dynamic encoder. Sets the `core.st_library.slices` gauge to the
+  /// number filled. Call once the weights are final.
+  void FillLibrary();
+
   /// Tokenizes a full ST-unit sequence -> [L, d_model].
   nn::Tensor Tokenize(const data::StUnitSequence& sequence);
 
@@ -113,15 +85,6 @@ class StTokenizer : public nn::Module {
   /// Spatial representation s_{i,t} for every segment at a slice:
   /// [I, 2 * spatial_dim]. Exposed for baselines-style probing and tests.
   nn::Tensor SpatialRepresentations(int slice);
-
-  /// Attaches a serving-time shared representation cache (not owned).
-  /// `version` tags every entry this tokenizer reads or writes; pass the
-  /// replica's model version so hot-swapped weights never alias. Only
-  /// consulted in no-grad mode; training fills never touch it.
-  void SetSharedRepCache(SpatialRepCache* cache, uint64_t version) {
-    shared_reps_ = cache;
-    shared_version_ = version;
-  }
 
   int64_t token_dim() const { return config_.d_model; }
   int64_t spatial_rep_dim() const { return 2 * config_.spatial_dim; }
@@ -164,10 +127,6 @@ class StTokenizer : public nn::Module {
   nn::Tensor cached_static_;                       // [I, spatial_dim]
   std::unordered_map<int, nn::Tensor> slice_cache_;  // slice -> [I, 2*Dh]
   bool library_has_graph_ = false;
-
-  // Serving-time shared cache (not owned; null outside the server).
-  SpatialRepCache* shared_reps_ = nullptr;
-  uint64_t shared_version_ = 0;
 };
 
 }  // namespace bigcity::core

@@ -8,16 +8,15 @@ namespace bigcity::obs {
 
 /// Thread-local per-request stage attribution (DESIGN.md §4.15). The
 /// serving worker clears the accumulator before a forward and reads it
-/// afterwards to split the forward's wall time into sub-stages (tokenize,
-/// cache lookup) that happen deep inside the model, without threading a
-/// context object through every layer. Each worker processes one request
+/// afterwards to split the forward's wall time into sub-stages (tokenize)
+/// that happen deep inside the model, without threading a context object
+/// through every layer. Each worker processes one request
 /// (or one batch) at a time, so thread-local is exactly request-local.
 enum class RequestStage : int {
-  kTokenize = 0,     // ST-tokenizer sequence building (GAT + fusion + MLP).
-  kCacheLookup = 1,  // Shared rep-cache and KV-session store lookups.
+  kTokenize = 0,  // ST-tokenizer sequence building (GAT + fusion + MLP).
 };
 
-inline constexpr int kNumRequestStages = 2;
+inline constexpr int kNumRequestStages = 1;
 
 namespace internal {
 inline thread_local double g_request_stage_us[kNumRequestStages] = {};
@@ -39,9 +38,8 @@ inline double RequestStageValue(RequestStage stage) {
 
 /// RAII: adds the scope's wall time to `stage`, minus whatever any nested
 /// RequestStageTimer (same stage or another) already claimed — so nested
-/// timers partition instead of double-counting. Example: the tokenizer's
-/// kTokenize scope excludes the kCacheLookup time of the shared rep-cache
-/// probe it makes, and a recursive kTokenize scope contributes only once.
+/// timers partition instead of double-counting: a recursive kTokenize
+/// scope contributes only once.
 class RequestStageTimer {
  public:
   explicit RequestStageTimer(RequestStage stage)

@@ -81,21 +81,20 @@ inline const char* OutcomeName(Outcome outcome) {
 /// stages partition the request's wall time against the same steady
 /// clock as total_us, so Total() ≈ Response::total_us; stages a request
 /// never reached stay 0. `forward_us` is the forward wall time minus the
-/// tokenize/cache time carved out of it; in a build with probes compiled
-/// out (BIGCITY_OBS=OFF) tokenize_us and cache_lookup_us read 0 and
-/// forward_us absorbs them, so the partition still holds.
+/// tokenize time carved out of it; in a build with probes compiled out
+/// (BIGCITY_OBS=OFF) tokenize_us reads 0 and forward_us absorbs it, so
+/// the partition still holds.
 struct StageBreakdown {
   double queue_wait_us = 0;    // Submit -> admission-queue drain.
   double batch_wait_us = 0;    // Batcher pending -> batch dispatch.
   double validate_us = 0;      // Input validation.
   double tokenize_us = 0;      // ST tokenization inside the forward.
-  double cache_lookup_us = 0;  // Tokenizer rep-cache probes.
-  double forward_us = 0;       // Model forward minus tokenize/cache.
+  double forward_us = 0;       // Model forward minus tokenize.
   double retry_us = 0;         // Backoff sleeps + failed attempts.
 
   double Total() const {
     return queue_wait_us + batch_wait_us + validate_us + tokenize_us +
-           cache_lookup_us + forward_us + retry_us;
+           forward_us + retry_us;
   }
 };
 

@@ -123,8 +123,14 @@ GateVerdict EvaluateCanary(const CohortStats::Snapshot& stable,
     }
     return GateVerdict::kFail;
   }
-  if (stable.latency_samples > 0 && canary.latency_samples > 0 &&
-      stable.p95_us > 0 &&
+  if (stable.latency_samples > 0 &&
+      std::min(stable.latency_samples, canary.latency_samples) <
+          kMinLatencySamples) {
+    // The p95 of a smaller window is its maximum, so one preempted
+    // forward would decide; wait for both cohorts to fill it.
+    return GateVerdict::kNotReady;
+  }
+  if (stable.latency_samples > 0 && stable.p95_us > 0 &&
       canary.p95_us > stable.p95_us * options.canary_latency_inflation) {
     if (reason != nullptr) {
       *reason = "canary p95 forward " + std::to_string(canary.p95_us) +

@@ -54,15 +54,19 @@ struct RolloutOptions {
   int canary_max_nonfinite = 0;
 
   /// Gate fails when canary p95 forward latency exceeds stable p95 by
-  /// this factor (only once both cohorts have latency samples).
+  /// this factor. While the stable cohort has latency samples the gate
+  /// waits until both cohorts hold kMinLatencySamples; without any the
+  /// criterion is mute. With one worker every dequeue is the canary's, and
+  /// the server judges it against an empty stable cohort.
   double canary_latency_inflation = 3.0;
 
   /// Slow start: the canary cohort discards its first this-many latency
-  /// samples before the latency criterion judges (a freshly staged
-  /// replica's cold tokenizer/GAT caches make its earliest forwards look
+  /// samples before the latency criterion judges (a candidate's first
+  /// forwards still fill its remaining lazy caches, and can look
   /// pathological under a diverse load mix). Requests/failures/non-finite
-  /// counts are never discarded. Keep below canary_min_requests or the
-  /// latency criterion may be skipped for lack of samples.
+  /// counts are never discarded. The canary then needs this many plus
+  /// kMinLatencySamples successful forwards before the latency criterion
+  /// can judge.
   int canary_slow_start_samples = 0;
 
   /// Wall-clock cap on the canary phase; a canary that cannot accumulate
@@ -118,13 +122,19 @@ class CohortStats {
 };
 
 enum class GateVerdict {
-  kNotReady = 0,  // Canary has not served canary_min_requests yet.
+  kNotReady = 0,  // Too little canary evidence to judge yet.
   kPass,
   kFail,
 };
 
+/// Latency samples each cohort needs before the latency criterion judges:
+/// the smallest window whose p95 (rank floor(0.95 n)) is not its maximum.
+inline constexpr uint64_t kMinLatencySamples = 21;
+
 /// Pure decision function of the canary health gate: compares the canary
-/// cohort against the stable cohort over the current window. On kFail,
+/// cohort against the stable cohort over the current window. kNotReady
+/// until the canary served canary_min_requests and, while the stable
+/// cohort has latency samples, both hold kMinLatencySamples. On kFail,
 /// `reason` names the tripped criterion (quarantine bookkeeping).
 /// `slo_burn_rate` is the serving fleet's current max SLO burn rate
 /// (SloTracker::MaxBurnRate); judged against canary_max_burn_rate when

@@ -132,8 +132,8 @@ InferenceServer::InferenceServer(const data::CityDataset* dataset,
 
 InferenceServer::~InferenceServer() { Stop(); }
 
-util::Status InferenceServer::LoadReplicaWeights(
-    core::BigCityModel* replica, const std::string& path) const {
+util::Status InferenceServer::LoadWeights(
+    core::BigCityModel* model, const std::string& path) const {
   util::Status status = util::Status::Ok();
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -149,7 +149,7 @@ util::Status InferenceServer::LoadReplicaWeights(
           "checkpoint reload transient fault (injected)");
       continue;
     }
-    status = replica->LoadStateFromFile(path);
+    status = model->LoadStateFromFile(path);
     if (status.ok()) return status;
     // Real I/O errors other than kUnavailable are not retryable (a missing
     // or corrupt file will not heal itself between attempts).
@@ -158,25 +158,42 @@ util::Status InferenceServer::LoadReplicaWeights(
   return status;
 }
 
-std::shared_ptr<InferenceServer::Replica> InferenceServer::MakeReplica(
-    uint64_t version, CohortStats* cohort) const {
-  auto replica = std::make_shared<Replica>();
-  replica->version = version;
-  replica->cohort.store(cohort, std::memory_order_relaxed);
-  replica->model =
+util::Result<std::shared_ptr<const InferenceServer::ServedModel>>
+InferenceServer::BuildVersion(
+    uint64_t version, const core::BigCityModel* prototype,
+    const std::vector<std::string>& weight_files) const {
+  auto served = std::make_shared<ServedModel>();
+  served->version = version;
+  served->model =
       std::make_unique<core::BigCityModel>(dataset_, model_config_);
   if (options_.attach_lora) {
     util::Rng lora_rng(model_config_.seed ^ 0x10A5EEDULL);
-    replica->model->backbone()->EnableLora(&lora_rng);
+    served->model->backbone()->EnableLora(&lora_rng);
   }
-  if (shared_reps_ != nullptr) {
-    // Version-tagged sharing: a hot-swapped replica reads and writes its
-    // own version's entries only, so stale representations never leak
-    // across a weight change.
-    replica->model->tokenizer()->SetSharedRepCache(shared_reps_.get(),
-                                                   version);
+  if (prototype != nullptr) served->model->CopyStateFrom(*prototype);
+  for (const std::string& path : weight_files) {
+    if (path.empty()) continue;
+    util::Status status = LoadWeights(served->model.get(), path);
+    if (!status.ok()) return status;
   }
-  return replica;
+  // Every slice up front, so no request fills one and concurrent forwards
+  // only read the library.
+  served->model->tokenizer()->FillLibrary();
+  return std::shared_ptr<const ServedModel>(std::move(served));
+}
+
+InferenceServer::Route InferenceServer::PickModel() {
+  const uint64_t share = static_cast<uint64_t>(options_.num_workers);
+  std::lock_guard<std::mutex> lock(models_mu_);
+  Route route;
+  route.canary = canary_ != nullptr && canary_dequeues_++ % share == 0;
+  route.served = route.canary ? canary_ : stable_;
+  return route;
+}
+
+uint64_t InferenceServer::stable_version() const {
+  std::lock_guard<std::mutex> lock(models_mu_);
+  return stable_ != nullptr ? stable_->version : 0;
 }
 
 util::Status InferenceServer::Start() {
@@ -219,10 +236,6 @@ util::Status InferenceServer::Start() {
   if (options_.initial_forward_estimate_us > 0) {
     forward_latency_.Seed(options_.initial_forward_estimate_us,
                           options_.latency_min_samples);
-  }
-  if (options_.tokenizer_cache_slices > 0) {
-    shared_reps_ = std::make_unique<core::SpatialRepCache>(
-        static_cast<size_t>(options_.tokenizer_cache_slices));
   }
   {
     std::lock_guard<std::mutex> lock(kv_sessions_.mu);
@@ -280,8 +293,8 @@ util::Status InferenceServer::Start() {
         });
   }
 
-  // Version discovery before any replica is built: when the model dir
-  // already holds a valid CURRENT version, the fleet boots from it.
+  // Version discovery before the model is built: when the model dir
+  // already holds a valid CURRENT version, the server boots from it.
   uint64_t initial_version = 0;
   std::string initial_weights;
   if (!options_.rollout.model_dir.empty()) {
@@ -294,41 +307,18 @@ util::Status InferenceServer::Start() {
     }
   }
 
-  slots_.clear();
-  slots_.reserve(static_cast<size_t>(options_.num_workers));
-  for (int i = 0; i < options_.num_workers; ++i) {
-    std::shared_ptr<Replica> replica =
-        MakeReplica(initial_version, &stable_stats_);
-    if (prototype_ != nullptr) {
-      replica->model->CopyStateFrom(*prototype_);
-    }
-    if (!options_.checkpoint_path.empty()) {
-      util::Status status =
-          LoadReplicaWeights(replica->model.get(), options_.checkpoint_path);
-      if (!status.ok()) {
-        slots_.clear();
-        registry_.reset();
-        return status;
-      }
-    }
-    if (!initial_weights.empty()) {
-      // The registry CRC-validated the file; load it once from disk and
-      // fan the weights out to the other replicas in memory.
-      util::Status status =
-          i == 0 ? LoadReplicaWeights(replica->model.get(), initial_weights)
-                 : util::Status::Ok();
-      if (!status.ok()) {
-        slots_.clear();
-        registry_.reset();
-        return status;
-      }
-      if (i > 0) replica->model->CopyStateFrom(*slots_[0]->replica->model);
-    }
-    auto slot = std::make_unique<WorkerSlot>();
-    slot->replica = std::move(replica);
-    slots_.push_back(std::move(slot));
+  util::Result<std::shared_ptr<const ServedModel>> built =
+      BuildVersion(initial_version, prototype_,
+                   {options_.checkpoint_path, initial_weights});
+  if (!built.ok()) {
+    registry_.reset();
+    return built.status();
   }
-  stable_version_.store(initial_version, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(models_mu_);
+    stable_ = std::move(built).value();
+    canary_.reset();
+  }
   generation_.store(0, std::memory_order_relaxed);
   BIGCITY_GAUGE_SET("serve.rollout.generation", 0);
   BIGCITY_GAUGE_SET("serve.rollout.stable_version", initial_version);
@@ -714,9 +704,9 @@ void InferenceServer::CheckinKvSession(KvSessionStore* kv,
 }
 
 util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
-    const std::vector<WorkItem*>& items, Replica& replica,
+    const std::vector<WorkItem*>& items, const ServedModel& served,
     KvSessionStore* kv) {
-  core::BigCityModel* model = replica.model.get();
+  core::BigCityModel* model = served.model.get();
   const Request& first = items[0]->request;
   // Tasks without a batched forward dispatch alone (batch key < 0).
   const auto alone =
@@ -745,7 +735,7 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
       // dominant cost of a short decode — across the whole batch. Sessions
       // are worker-local while checked out and only returned to the store
       // on success; a failed batch leaves no trace. Sessions are
-      // version-scoped, so a hot-swapped replica never reuses attention
+      // version-scoped, so a hot-swapped model never reuses attention
       // state computed by different weights.
       std::vector<KvSession> sessions(items.size());
       std::vector<nn::KvCache*> caches(items.size(), nullptr);
@@ -753,13 +743,13 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
         const data::Trajectory& trajectory = items[i]->request.trajectory;
         if (trajectory.length() < 2) continue;
         std::optional<KvSession> hit =
-            CheckoutKvSession(kv, replica.version, trajectory);
+            CheckoutKvSession(kv, served.version, trajectory);
         if (hit.has_value()) {
           BIGCITY_COUNTER_INC("serve.cache.kv.hit");
           sessions[i] = std::move(*hit);
         } else {
           BIGCITY_COUNTER_INC("serve.cache.kv.miss");
-          sessions[i].version = replica.version;
+          sessions[i].version = served.version;
         }
         caches[i] = &sessions[i].cache;
       }
@@ -813,7 +803,7 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
 }
 
 util::Result<std::vector<nn::Tensor>> InferenceServer::Forward(
-    const std::vector<WorkItem*>& items, Replica& replica,
+    const std::vector<WorkItem*>& items, const ServedModel& served,
     nn::PlanCache* plans, KvSessionStore* kv) {
   if (util::FaultInjection::Fire(util::kFaultServeTokenizeFail)) {
     return util::Status::Unavailable("tokenizer transient fault (injected)");
@@ -833,7 +823,7 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::Forward(
   nn::PlanScope plan_scope(
       plans, nn::PlanKey{core::TaskName(items[0]->request.task), bucket});
   util::Result<std::vector<nn::Tensor>> result =
-      RunModelBatch(items, replica, kv);
+      RunModelBatch(items, served, kv);
   if (result.ok() && plan_scope.active()) {
     nn::ArenaPin pin;
     for (nn::Tensor& output : result.value()) output = output.Detached();
@@ -843,44 +833,40 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::Forward(
 
 std::vector<Response> InferenceServer::Deliver(
     const std::vector<WorkItem*>& items, std::vector<nn::Tensor> outputs,
-    Clock::time_point forward_start, Replica& replica,
+    Clock::time_point forward_start, const Route& route,
     CircuitBreaker::Decision decision) {
   const double forward_us = MicrosSince(forward_start, Clock::now());
   // Every member waited the whole forward, so each gets the identical
-  // tokenize/cache/forward split.
+  // tokenize/forward split.
   const double tokenize_us =
       obs::RequestStageValue(obs::RequestStage::kTokenize);
-  const double cache_us =
-      obs::RequestStageValue(obs::RequestStage::kCacheLookup);
-  CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed);
-  const bool is_canary = cohort == &canary_stats_;
+  CohortStats& cohort = route.canary ? canary_stats_ : stable_stats_;
   std::vector<Response> responses(items.size());
   bool any_ok = false;
   for (size_t i = 0; i < items.size(); ++i) {
     StageBreakdown& stages = items[i]->stages;
     stages.tokenize_us += tokenize_us;
-    stages.cache_lookup_us += cache_us;
-    stages.forward_us += std::max(0.0, forward_us - tokenize_us - cache_us);
+    stages.forward_us += std::max(0.0, forward_us - tokenize_us);
     if (!AllFinite(outputs[i])) {
       // A NaN/Inf output is a model-health defect, not a transient: no
       // retry (the same weights produce the same poison), and it stays
       // out of the circuit breaker — the breaker protects against failing
       // *tasks*, the rollout health gate against bad *weights*.
       BIGCITY_COUNTER_INC("serve.nonfinite_outputs");
-      if (cohort != nullptr) cohort->RecordNonFinite();
+      cohort.RecordNonFinite();
       responses[i].status =
           util::Status::Internal("model produced non-finite output");
       continue;
     }
     double cohort_us = forward_us;
-    if (is_canary &&
+    if (route.canary &&
         util::FaultInjection::Fire(util::kFaultRolloutCanaryLatency)) {
       // Inflation is applied to the cohort sample only: the gate must
       // see it, the budget-degradation estimator must not.
       cohort_us += static_cast<double>(
           util::FaultInjection::Param(util::kFaultRolloutCanaryLatency));
     }
-    if (cohort != nullptr) cohort->RecordSuccess(cohort_us);
+    cohort.RecordSuccess(cohort_us);
     responses[i].output = std::move(outputs[i]);
     any_ok = true;
   }
@@ -896,7 +882,7 @@ std::vector<Response> InferenceServer::Deliver(
   return responses;
 }
 
-Response InferenceServer::ServeAlone(WorkItem& item, Replica& replica,
+Response InferenceServer::ServeAlone(WorkItem& item, const Route& route,
                                      CircuitBreaker::Decision decision,
                                      nn::PlanCache* plans,
                                      KvSessionStore* kv) {
@@ -931,17 +917,17 @@ Response InferenceServer::ServeAlone(WorkItem& item, Replica& replica,
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(backoff_ms));
     }
-    // The thread-local stage accumulator carves tokenize/cache time out
-    // of the forward wall time; cleared per attempt so a retried forward
+    // The thread-local stage accumulator carves tokenize time out of the
+    // forward wall time; cleared per attempt so a retried forward
     // never double-counts the failed attempt's stages.
     obs::RequestStagesClear();
     const Clock::time_point forward_start = Clock::now();
     util::Result<std::vector<nn::Tensor>> result =
-        Forward({&item}, replica, plans, kv);
+        Forward({&item}, *route.served, plans, kv);
     if (result.ok()) {
       item.stages.retry_us += MicrosSince(attempts_start, forward_start);
       Response delivered = std::move(Deliver(
-          {&item}, std::move(result).value(), forward_start, replica,
+          {&item}, std::move(result).value(), forward_start, route,
           decision)[0]);
       delivered.retries = response.retries;
       return delivered;
@@ -960,9 +946,7 @@ Response InferenceServer::ServeAlone(WorkItem& item, Replica& replica,
   }
   item.stages.retry_us += MicrosSince(attempts_start, Clock::now());
   BIGCITY_COUNTER_INC("serve.failures");
-  if (CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed)) {
-    cohort->RecordFailure();
-  }
+  (route.canary ? canary_stats_ : stable_stats_).RecordFailure();
   if (breaker.RecordFailure(Clock::now())) {
     BIGCITY_COUNTER_INC("serve.breaker.opened");
   }
@@ -971,7 +955,7 @@ Response InferenceServer::ServeAlone(WorkItem& item, Replica& replica,
 }
 
 void InferenceServer::ProcessBatch(std::vector<WorkItem>& items,
-                                   Replica& replica, nn::PlanCache* plans,
+                                   const Route& route, nn::PlanCache* plans,
                                    KvSessionStore* kv) {
   // A lone member's id is active for the whole dequeue, so every span
   // below — tokenizer and cache spans included — is stamped with it. A
@@ -1063,10 +1047,10 @@ void InferenceServer::ProcessBatch(std::vector<WorkItem>& items,
     obs::RequestStagesClear();
     const Clock::time_point forward_start = Clock::now();
     util::Result<std::vector<nn::Tensor>> result =
-        Forward(members, replica, plans, kv);
+        Forward(members, *route.served, plans, kv);
     if (result.ok()) {
       std::vector<Response> responses =
-          Deliver(members, std::move(result).value(), forward_start, replica,
+          Deliver(members, std::move(result).value(), forward_start, route,
                   decision);
       for (size_t i = 0; i < members.size(); ++i) {
         Finish(*members[i], std::move(responses[i]));
@@ -1080,23 +1064,8 @@ void InferenceServer::ProcessBatch(std::vector<WorkItem>& items,
     for (WorkItem* item : members) item->stages.retry_us += failed_us;
   }
   for (WorkItem* item : members) {
-    Finish(*item, ServeAlone(*item, replica, decision, plans, kv));
+    Finish(*item, ServeAlone(*item, route, decision, plans, kv));
   }
-}
-
-std::shared_ptr<InferenceServer::Replica> InferenceServer::AcquireReplica(
-    size_t worker) {
-  WorkerSlot& slot = *slots_[worker];
-  std::lock_guard<std::mutex> lock(slot.mu);
-  return slot.replica;
-}
-
-std::shared_ptr<InferenceServer::Replica> InferenceServer::SwapWorker(
-    size_t worker, std::shared_ptr<Replica> next) {
-  WorkerSlot& slot = *slots_[worker];
-  std::lock_guard<std::mutex> lock(slot.mu);
-  std::swap(slot.replica, next);
-  return next;  // The displaced replica.
 }
 
 void InferenceServer::RegisterInflight(Heartbeat& hb,
@@ -1201,10 +1170,10 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
       if (batch.empty()) continue;
     }
 
-    // The replica is pinned for the whole batch: a concurrent hot-swap
-    // replaces the slot's pointer but never this in-flight forward's.
-    std::shared_ptr<Replica> replica =
-        AcquireReplica(static_cast<size_t>(worker_index));
+    // The pick pins one version for the whole batch: a concurrent
+    // promotion or rollback replaces the server's pointers, never this
+    // in-flight forward's.
+    const Route route = PickModel();
 
     // Busy heartbeat + in-flight registration, gated on still owning the
     // slot: a superseded incarnation serves what it already popped (its
@@ -1213,7 +1182,7 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
     std::vector<WorkItem*> members;
     members.reserve(batch.size());
     for (WorkItem& item : batch) {
-      item.model_version = replica->version;
+      item.model_version = route.served->version;
       members.push_back(&item);
     }
     const bool current = !superseded();
@@ -1224,7 +1193,7 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
       RegisterInflight(hb, members);
     }
 
-    ProcessBatch(batch, *replica, &plan_cache, kv_sessions);
+    ProcessBatch(batch, route, &plan_cache, kv_sessions);
 
     if (current && !superseded()) {
       ClearInflight(hb);
@@ -1236,51 +1205,6 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
 }
 
 // --- Watchdog supervisor ----------------------------------------------------
-
-std::shared_ptr<InferenceServer::Replica>
-InferenceServer::MakeReplicaFromStable(size_t exclude_worker) {
-  const uint64_t version = stable_version_.load(std::memory_order_relaxed);
-  std::shared_ptr<Replica> replica = MakeReplica(version, &stable_stats_);
-  // Weight source preference: a healthy sibling already serving the stable
-  // version is a pure in-memory copy (replica params are immutable while
-  // serving, so the copy races with nothing). The reaped worker's own
-  // replica is excluded — it is being quarantined.
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (i == exclude_worker) continue;
-    std::shared_ptr<Replica> sibling = AcquireReplica(i);
-    if (sibling != nullptr && sibling->version == version &&
-        sibling->model != nullptr) {
-      replica->model->CopyStateFrom(*sibling->model);
-      return replica;
-    }
-  }
-  if (version == 0) {
-    // Initial in-memory weights: the same sources Start() used.
-    if (prototype_ != nullptr) {
-      replica->model->CopyStateFrom(*prototype_);
-    } else if (!options_.checkpoint_path.empty()) {
-      util::Status status = LoadReplicaWeights(replica->model.get(),
-                                               options_.checkpoint_path);
-      if (!status.ok()) {
-        BIGCITY_LOG(Warning) << "watchdog: replacement checkpoint reload "
-                                "failed: "
-                             << status.message();
-        return nullptr;
-      }
-    }
-    return replica;
-  }
-  // Registry version: reload its CRC-validated weights from disk.
-  const std::string weights = util::WeightsPath(
-      util::VersionPath(options_.rollout.model_dir, version));
-  util::Status status = LoadReplicaWeights(replica->model.get(), weights);
-  if (!status.ok()) {
-    BIGCITY_LOG(Warning) << "watchdog: replacement weights reload failed: "
-                         << status.message();
-    return nullptr;
-  }
-  return replica;
-}
 
 void InferenceServer::ReapWorker(size_t worker) {
   Heartbeat& hb = *heartbeats_[worker];
@@ -1311,18 +1235,10 @@ void InferenceServer::ReapWorker(size_t worker) {
   hb.trace_id.store(0, std::memory_order_release);
   hb.epoch.fetch_add(1, std::memory_order_release);
 
-  // Quarantine the wedged worker's replica: the slot gets a fresh replica
-  // rebuilt from the stable version's weights, and the old one is
-  // released by shared_ptr refcount once the wedged thread unwinds. If no
-  // weight source is loadable the old replica stays — a serving worker
-  // beats an empty slot.
-  std::shared_ptr<Replica> replacement = MakeReplicaFromStable(worker);
-  if (replacement != nullptr) {
-    SwapWorker(worker, std::move(replacement));
-  }
-
   // Park the wedged thread (joined at Stop; stalls are finite) and start
-  // the replacement incarnation in its slot.
+  // the replacement incarnation in its slot. Nothing is rebuilt: the
+  // replacement picks the same models every worker serves from, and the
+  // wedged thread's pick keeps its version alive until it unwinds.
   {
     std::lock_guard<std::mutex> lock(workers_mu_);
     parked_.push_back(std::move(workers_[worker]));
@@ -1425,7 +1341,7 @@ void InferenceServer::RolloutLoop() {
   for (;;) {
     if (RolloutWait(options_.rollout.poll_interval_ms)) return;
     util::Result<VersionInfo> candidate =
-        registry_->PollOnce(stable_version_.load(std::memory_order_relaxed));
+        registry_->PollOnce(stable_version());
     if (!candidate.ok()) continue;  // Nothing new (or quarantined).
     RunRollout(candidate.value());
   }
@@ -1438,28 +1354,29 @@ void InferenceServer::RunRollout(const VersionInfo& info) {
   BIGCITY_LOG(Info) << "rollout: staging version " << info.version
                     << " (parent " << info.manifest.parent_version << ")";
 
-  // Stage: build + load entirely off the request path.
-  std::shared_ptr<Replica> staged;
+  // Stage: build + load + library fill entirely off the request path.
+  std::shared_ptr<const ServedModel> staged;
   {
     BIGCITY_TRACE_SPAN("serve.rollout.stage", "rollout");
-    staged = MakeReplica(info.version, &canary_stats_);
     if (util::FaultInjection::Fire(util::kFaultRolloutSlowLoad)) {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           static_cast<double>(
               util::FaultInjection::Param(util::kFaultRolloutSlowLoad))));
     }
-    util::Status load =
-        LoadReplicaWeights(staged->model.get(), info.weights_path);
-    if (!load.ok()) {
+    util::Result<std::shared_ptr<const ServedModel>> built =
+        BuildVersion(info.version, /*prototype=*/nullptr, {info.weights_path});
+    if (!built.ok()) {
       registry_->Quarantine(info.version,
-                            "staged load failed: " + load.message());
+                            "staged load failed: " + built.status().message());
       SetRolloutState(RolloutState::kQuarantined);
       return;
     }
-    // Warm the candidate's tokenizer/GAT caches off the request path, so
-    // the canary's first measured forwards are not cold-start outliers
-    // that would false-trip the latency gate. Results are discarded; a
-    // genuinely bad model is still judged on real canary traffic.
+    staged = std::move(built).value();
+    // Warm the candidate's packed weights and instruction K/V off the
+    // request path, so the canary's first measured forwards are not
+    // cold-start outliers that would false-trip the latency gate. Results
+    // are discarded; a genuinely bad model is still judged on real canary
+    // traffic.
     int warmed = 0;
     nn::NoGradGuard no_grad;  // Warm caches the way workers will use them.
     for (const data::Trajectory& trajectory : dataset_->train()) {
@@ -1470,12 +1387,20 @@ void InferenceServer::RunRollout(const VersionInfo& info) {
     (void)staged->model->TryPredictTraffic(0, 0, 1);
   }
 
-  // Canary: worker 0 swaps to the candidate; both cohorts restart so the
-  // gate compares like-for-like windows. The canary cohort additionally
-  // discards its slow-start latency samples (cold caches).
+  // Canary: the candidate takes every num_workers-th dequeue; both cohorts
+  // restart so the gate compares like-for-like windows. The canary cohort
+  // additionally discards its slow-start latency samples.
   stable_stats_.Reset();
   canary_stats_.Reset(options_.rollout.canary_slow_start_samples);
-  std::shared_ptr<Replica> previous = SwapWorker(0, staged);
+  {
+    std::lock_guard<std::mutex> lock(models_mu_);
+    canary_ = staged;
+    canary_dequeues_ = 0;
+  }
+  const auto end_canary = [this] {
+    std::lock_guard<std::mutex> lock(models_mu_);
+    canary_.reset();
+  };
   SetRolloutState(RolloutState::kCanary);
   BIGCITY_COUNTER_INC("serve.rollout.canary_started");
 
@@ -1495,13 +1420,20 @@ void InferenceServer::RunRollout(const VersionInfo& info) {
       // window from deciding a rollout.
       slo_burn_rate = slo_.MaxBurnRate(/*min_requests=*/16);
 #endif
-      verdict = EvaluateCanary(stable_stats_.Get(), canary_stats_.Get(),
-                               options_.rollout, &reason, slo_burn_rate);
+      // With one worker every dequeue is the canary's, so the stable
+      // cohort holds at most the stray forwards picked before the canary
+      // was set, which could never fill the latency floor: judge the
+      // canary against an empty stable cohort.
+      const CohortStats::Snapshot stable = options_.num_workers > 1
+                                               ? stable_stats_.Get()
+                                               : CohortStats::Snapshot{};
+      verdict = EvaluateCanary(stable, canary_stats_.Get(), options_.rollout,
+                               &reason, slo_burn_rate);
       if (verdict != GateVerdict::kNotReady) break;
       if (RolloutWait(2.0)) {
-        // Shutdown mid-canary: restore the pinned stable replica and
-        // leave the candidate unjudged (it stays eligible next start).
-        SwapWorker(0, previous);
+        // Shutdown mid-canary: the stable model serves on, and the
+        // candidate stays unjudged (eligible again at the next start).
+        end_canary();
         SetRolloutState(RolloutState::kIdle);
         return;
       }
@@ -1511,16 +1443,13 @@ void InferenceServer::RunRollout(const VersionInfo& info) {
   if (verdict == GateVerdict::kPass) {
     SetRolloutState(RolloutState::kRolling);
     BIGCITY_TRACE_SPAN("serve.rollout.rolling", "rollout");
-    // Promote the canary into the stable cohort, then roll the remaining
-    // workers one by one; each swap lands between that worker's requests.
-    staged->cohort.store(&stable_stats_, std::memory_order_relaxed);
-    for (size_t worker = 1; worker < slots_.size(); ++worker) {
-      std::shared_ptr<Replica> next =
-          MakeReplica(info.version, &stable_stats_);
-      next->model->CopyStateFrom(*staged->model);
-      SwapWorker(worker, std::move(next));
+    // Promotion is one pointer store: every later dequeue serves the
+    // candidate, and the old stable model is freed with its last forward.
+    {
+      std::lock_guard<std::mutex> lock(models_mu_);
+      stable_ = std::move(staged);
+      canary_.reset();
     }
-    stable_version_.store(info.version, std::memory_order_relaxed);
     const uint64_t generation =
         generation_.fetch_add(1, std::memory_order_relaxed) + 1;
     BIGCITY_COUNTER_INC("serve.rollout.completed");
@@ -1533,13 +1462,14 @@ void InferenceServer::RunRollout(const VersionInfo& info) {
     if (verdict == GateVerdict::kNotReady) {
       reason = "canary starved: fewer than " +
                std::to_string(options_.rollout.canary_min_requests) +
-               " canary requests within " +
+               " canary requests or " + std::to_string(kMinLatencySamples) +
+               " latency samples per cohort within " +
                std::to_string(options_.rollout.canary_timeout_ms) +
                "ms (never promote without evidence)";
     }
-    // Roll back: the pinned stable replica returns untouched, so
-    // post-rollback outputs are bit-identical to pre-canary ones.
-    SwapWorker(0, previous);
+    // Roll back: the stable model was never touched, so post-rollback
+    // outputs are bit-identical to pre-canary ones.
+    end_canary();
     registry_->Quarantine(info.version, reason);
     BIGCITY_COUNTER_INC("serve.rollout.rolled_back");
     SetRolloutState(RolloutState::kRolledBack);

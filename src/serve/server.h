@@ -19,7 +19,6 @@
 #include "core/bigcity_model.h"
 #include "nn/plan.h"
 #include "core/config.h"
-#include "core/st_tokenizer.h"
 #include "core/task.h"
 #include "data/dataset.h"
 #include "serve/admission_queue.h"
@@ -44,8 +43,9 @@ namespace bigcity::serve {
 /// small-footprint tests; bench/bench_serve.cc and `bigcity_cli serve`
 /// override them from the command line.
 struct ServeOptions {
-  /// Worker threads; each owns a private model replica so forwards never
-  /// share mutable tokenizer caches.
+  /// Worker threads. Every worker serves from the same immutable model per
+  /// version (DESIGN.md §4.11); a canary takes every num_workers-th
+  /// dequeue.
   int num_workers = 2;
 
   /// Admission queue bound; a full queue sheds with kResourceExhausted.
@@ -79,11 +79,11 @@ struct ServeOptions {
   /// before any real samples exist. <= 0 leaves the estimator empty.
   double initial_forward_estimate_us = 0;
 
-  /// Optional checkpoint loaded into every replica at Start(), with
+  /// Optional checkpoint loaded into the served model at Start(), with
   /// bounded retries around transient read failures.
   std::string checkpoint_path;
 
-  /// Attach LoRA adapters to each replica's backbone before weight copy /
+  /// Attach LoRA adapters to each version's backbone before weight copy /
   /// checkpoint load (must match how the source weights were produced).
   bool attach_lora = false;
 
@@ -98,14 +98,6 @@ struct ServeOptions {
   /// How long a request may wait for co-batchable peers before its group
   /// dispatches anyway.
   double batch_window_us = 200.0;
-
-  /// Cross-worker ST-tokenizer representation cache: fused per-segment
-  /// spatial representations keyed by (model version, time slice) and
-  /// shared by every replica, so one worker's GAT pass warms the whole
-  /// fleet. Version keying makes hot-swap invalidation free. This is the
-  /// entry capacity; 0 disables sharing (each replica then keeps only its
-  /// private per-slice cache).
-  int tokenizer_cache_slices = 64;
 
   /// KV decode sessions for autoregressive next-hop serving: a client
   /// extending a trajectory hop by hop reuses the frozen backbone's
@@ -125,15 +117,15 @@ struct ServeOptions {
   /// Model lifecycle (hot-swap / canary rollout) knobs. Setting
   /// rollout.model_dir enables the version poller and controller thread;
   /// when the directory already holds a valid CURRENT version at Start(),
-  /// the replicas boot from it.
+  /// the server boots from it.
   RolloutOptions rollout;
 
   /// Worker watchdog (DESIGN.md §4.16): each worker publishes a heartbeat
   /// every loop iteration; a supervisor thread reaps a worker whose beat
   /// stalls mid-request past this threshold — resolving its in-flight
   /// requests with kDeadlineExceeded without touching the wedged thread,
-  /// then replacing the worker from the stable version's weights. <= 0
-  /// disables supervision.
+  /// then starting a replacement worker on the same models. <= 0 disables
+  /// supervision.
   double hang_threshold_ms = 5000.0;
 
   /// Supervisor tick: heartbeat scan + overload sample cadence.
@@ -181,25 +173,32 @@ struct ServeOptions {
 /// instead of failing when the breaker is open or the remaining budget
 /// cannot fit a p95 forward.
 ///
+/// Models: each version is built once (weights loaded, ST feature library
+/// filled) before any worker sees it, and is never written afterwards, so
+/// every worker serves from the same model. The server holds the stable
+/// version and, while a candidate is on trial, the canary.
+///
 /// Model lifecycle: when options.rollout.model_dir is set, a controller
 /// thread polls the versioned model directory. A validated new version is
-/// STAGED (loaded off the request path), swapped onto worker 0 as a CANARY,
-/// and health-gated against the stable cohort (error rate, non-finite
-/// outputs, p95 forward latency). A passing canary is ROLLED across the
-/// remaining workers between requests; a failing one is rolled back to the
-/// pinned stable replica and the version quarantined. Workers pick up
-/// their replica at the top of each request — a swap never happens
-/// mid-forward, and displaced replicas are retired by shared_ptr refcount
-/// once their last in-flight request completes.
+/// STAGED (built off the request path) and serves every num_workers-th
+/// dequeue as a CANARY, health-gated against the stable cohort (error
+/// rate, non-finite outputs, p95 forward latency). A passing canary
+/// becomes the stable model (ROLLING is one pointer store); a failing one
+/// is dropped and the version quarantined, and the untouched stable model
+/// serves on. Each dequeue picks its model once — a swap never happens
+/// mid-forward, and a retired version is freed by shared_ptr refcount
+/// once its last in-flight request completes.
 ///
 /// Thread safety: Submit/ServeSync may be called from any thread. Workers
-/// never share mutable model state (one replica each); the dataset is
+/// share each version's model, whose forwards only read it once built
+/// (the lazily filled instruction K/V and packed panels are safe under
+/// concurrent forwards, DESIGN.md §4.3 and §4.8); the dataset is
 /// read-only.
 class InferenceServer {
  public:
   /// `dataset` must outlive the server. When `prototype` is non-null its
-  /// weights are copied into every replica (it must have been built with a
-  /// matching config, including LoRA attachment per options.attach_lora).
+  /// weights are copied into the served model (it must have been built with
+  /// a matching config, including LoRA attachment per options.attach_lora).
   InferenceServer(const data::CityDataset* dataset,
                   core::BigCityConfig model_config, ServeOptions options,
                   const core::BigCityModel* prototype = nullptr);
@@ -208,7 +207,7 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Builds the worker replicas (checkpoint reload with bounded retries
+  /// Builds the served model once (checkpoint reload with bounded retries
   /// when options.checkpoint_path is set; model-dir CURRENT version when
   /// the rollout machinery is enabled and one is published) and launches
   /// the worker threads plus, if enabled, the rollout controller.
@@ -240,12 +239,6 @@ class InferenceServer {
   /// microseconds; 0 while below latency_min_samples.
   double forward_p95_us() const;
 
-  /// Shared tokenizer representation cache (null when disabled); exposes
-  /// hit/miss counts to tests and the bench harness.
-  const core::SpatialRepCache* tokenizer_cache() const {
-    return shared_reps_.get();
-  }
-
   /// Lifecycle introspection. rollout_state() is sticky: it holds the
   /// terminal state of the last candidate (STABLE / ROLLED_BACK /
   /// QUARANTINED) between rollouts and the live state during one.
@@ -254,9 +247,7 @@ class InferenceServer {
         rollout_state_.load(std::memory_order_relaxed));
   }
   /// Version the stable cohort serves (0 = initial in-memory weights).
-  uint64_t stable_version() const {
-    return stable_version_.load(std::memory_order_relaxed);
-  }
+  uint64_t stable_version() const;
   /// Completed hot-swaps since Start(); tags the serve.rollout.* metrics.
   uint64_t generation() const {
     return generation_.load(std::memory_order_relaxed);
@@ -321,7 +312,7 @@ class InferenceServer {
     bool has_deadline = false;
     double queue_wait_us = 0;  // Set at dequeue; echoed in the response.
     int batch_size = 1;        // Requests sharing this item's forward.
-    /// Version of the replica the worker serves this item with, stamped at
+    /// Version of the model the worker serves this item with, stamped at
     /// dequeue (0 for requests that never reached a worker).
     uint64_t model_version = 0;
     /// Process-unique id allocated at Submit; stamps this request's spans
@@ -358,23 +349,19 @@ class InferenceServer {
     std::list<KvSession> sessions;
   };
 
-  /// One immutable-weights model instance plus its lifecycle tag. Held by
-  /// shared_ptr: the worker's per-request copy keeps a displaced replica
-  /// alive exactly until its last in-flight forward returns.
-  struct Replica {
+  /// One model version, built by BuildVersion and never written after.
+  /// Held by shared_ptr: a dequeue's copy keeps a retired version alive
+  /// exactly until its last in-flight forward returns.
+  struct ServedModel {
     uint64_t version = 0;
-    /// Which health cohort this replica's requests feed. Atomic because
-    /// promotion (canary -> stable) retags the pointer while the worker
-    /// is serving.
-    std::atomic<CohortStats*> cohort{nullptr};
     std::unique_ptr<core::BigCityModel> model;
   };
 
-  /// Per-worker slot; the mutex only guards the shared_ptr swap/copy, so
-  /// a swap waits at most for a pointer copy, never for a forward.
-  struct WorkerSlot {
-    std::mutex mu;
-    std::shared_ptr<Replica> replica;
+  /// One dequeue's pick (PickModel): the version it serves with, and
+  /// whether its requests feed the canary cohort or the stable one.
+  struct Route {
+    std::shared_ptr<const ServedModel> served;
+    bool canary = false;
   };
 
   /// What the watchdog needs to resolve one in-flight request without
@@ -437,14 +424,8 @@ class InferenceServer {
   void SupervisorLoop();
   /// Reaps a hung worker: resolves its in-flight requests, supersedes the
   /// wedged incarnation (generation bump), parks its thread, and starts a
-  /// replacement worker on a fresh stable-version replica.
+  /// replacement worker, which picks its models like every other worker.
   void ReapWorker(size_t worker);
-  /// Replacement replica built from the stable version's weights: a
-  /// healthy sibling slot (not `exclude_worker`, whose replica is being
-  /// quarantined) serving the same version is preferred (pure in-memory
-  /// copy); otherwise the prototype / checkpoint (version 0) or the
-  /// registry's versioned weights file. Null when no source is loadable.
-  std::shared_ptr<Replica> MakeReplicaFromStable(size_t exclude_worker);
   /// Applies the overload controller's current state to the live knobs
   /// (queue bound, KV capacity); the batcher reads its shrunken batch_max
   /// through its own callback.
@@ -455,7 +436,7 @@ class InferenceServer {
   /// then one forward attempt for the survivors. A batch of two or more
   /// that fails splits into batches of one, each with its full retry
   /// budget under the same breaker decision. Finishes every item.
-  void ProcessBatch(std::vector<WorkItem>& items, Replica& replica,
+  void ProcessBatch(std::vector<WorkItem>& items, const Route& route,
                     nn::PlanCache* plans, KvSessionStore* kv);
   /// Deadline checkpoints 2 and 3 around ValidateRequest; counts the exit.
   util::Status Screen(WorkItem& item) const;
@@ -464,7 +445,7 @@ class InferenceServer {
   /// sites, then RunModelBatch inside the worker's plan, with the outputs
   /// detached from the plan arena.
   util::Result<std::vector<nn::Tensor>> Forward(
-      const std::vector<WorkItem*>& items, Replica& replica,
+      const std::vector<WorkItem*>& items, const ServedModel& served,
       nn::PlanCache* plans, KvSessionStore* kv);
   /// Model dispatch for one forward attempt: the batched entry point of
   /// next-hop, TTE and traffic prediction, the Try* call of a lone member
@@ -472,7 +453,7 @@ class InferenceServer {
   /// out (or starts) a KV session, so a hit decodes only its new suffix
   /// and a miss prefills a session for its extensions.
   util::Result<std::vector<nn::Tensor>> RunModelBatch(
-      const std::vector<WorkItem*>& items, Replica& replica,
+      const std::vector<WorkItem*>& items, const ServedModel& served,
       KvSessionStore* kv);
   /// Responses for the members of a successful forward attempt that
   /// started at `forward_start`: stage split, per-member non-finite screen
@@ -483,12 +464,12 @@ class InferenceServer {
                                 std::vector<nn::Tensor> outputs,
                                 std::chrono::steady_clock::time_point
                                     forward_start,
-                                Replica& replica,
+                                const Route& route,
                                 CircuitBreaker::Decision decision);
   /// Serves one admitted request alone: forward attempts with bounded
   /// backoff retries, quarantine on kInvalidArgument, and exactly one
   /// breaker resolution of `decision` on every exit.
-  Response ServeAlone(WorkItem& item, Replica& replica,
+  Response ServeAlone(WorkItem& item, const Route& route,
                       CircuitBreaker::Decision decision,
                       nn::PlanCache* plans, KvSessionStore* kv);
   /// Longest-prefix session checkout: among stored sessions of `version`
@@ -507,15 +488,19 @@ class InferenceServer {
   Response Degrade(const Request& request) const;
   CircuitBreaker& BreakerFor(core::Task task);
   void PublishBreakerState(core::Task task);
-  util::Status LoadReplicaWeights(core::BigCityModel* replica,
-                                  const std::string& path) const;
+  util::Status LoadWeights(core::BigCityModel* model,
+                           const std::string& path) const;
 
-  std::shared_ptr<Replica> MakeReplica(uint64_t version,
-                                       CohortStats* cohort) const;
-  std::shared_ptr<Replica> AcquireReplica(size_t worker);
-  /// Installs `next` on `worker`'s slot; returns the displaced replica.
-  std::shared_ptr<Replica> SwapWorker(size_t worker,
-                                      std::shared_ptr<Replica> next);
+  /// Builds one version's model: constructs it (LoRA attached when
+  /// attach_lora), copies `prototype` when non-null, loads each non-empty
+  /// file of `weight_files` in order through LoadWeights, then fills
+  /// its ST feature library. Nothing writes the model afterwards.
+  util::Result<std::shared_ptr<const ServedModel>> BuildVersion(
+      uint64_t version, const core::BigCityModel* prototype,
+      const std::vector<std::string>& weight_files) const;
+  /// The model for one dequeue: the canary for every num_workers-th
+  /// dequeue while a candidate is on trial, else the stable model.
+  Route PickModel();
   void RolloutLoop();
   /// Sleeps up to `ms` on the controller condvar; true when stopping.
   bool RolloutWait(double ms);
@@ -530,10 +515,15 @@ class InferenceServer {
   BaselinePredictor baseline_;
   AdmissionQueue<WorkItem> queue_;
   std::unique_ptr<Batcher<WorkItem>> batcher_;
-  std::unique_ptr<core::SpatialRepCache> shared_reps_;  // Null when off.
   KvSessionStore kv_sessions_;  // Capacity 0 when KV caching is off.
   LatencyEstimator forward_latency_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
+  /// The served models. models_mu_ guards both pointers and the canary's
+  /// dequeue count; a dequeue holds it for one pointer copy, never for a
+  /// forward. canary_ is null unless a candidate is on trial.
+  mutable std::mutex models_mu_;
+  std::shared_ptr<const ServedModel> stable_;
+  std::shared_ptr<const ServedModel> canary_;
+  uint64_t canary_dequeues_ = 0;
   /// Worker threads by slot, guarded by workers_mu_ because the supervisor
   /// replaces entries while Stop may be joining. A replaced (wedged)
   /// thread moves to parked_ and is joined at Stop — stalls are finite and
@@ -578,7 +568,6 @@ class InferenceServer {
   std::condition_variable rollout_cv_;
   bool rollout_stop_ = false;
   std::atomic<int> rollout_state_{static_cast<int>(RolloutState::kIdle)};
-  std::atomic<uint64_t> stable_version_{0};
   std::atomic<uint64_t> generation_{0};
 
   bool running_ = false;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <latch>
 #include <limits>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/bigcity_model.h"
-#include "core/st_tokenizer.h"
 #include "core/task.h"
 #include "data/dataset.h"
 #include "nn/kernels/kernels.h"
@@ -26,6 +26,7 @@
 #include "serve/batcher.h"
 #include "serve/server.h"
 #include "util/fault_injection.h"
+#include "util/status.h"
 
 namespace bigcity::serve {
 namespace {
@@ -35,7 +36,7 @@ uint64_t CounterValue(const char* name) {
 }
 
 /// Exact float comparison down to the bit pattern: the batched, KV-cached,
-/// and shared-cache paths must not perturb the numerics at all.
+/// and shared-model paths must not perturb the numerics at all.
 void ExpectBitIdentical(const nn::Tensor& a, const nn::Tensor& b) {
   ASSERT_TRUE(a.is_valid());
   ASSERT_TRUE(b.is_valid());
@@ -467,11 +468,15 @@ TEST_F(BatchTest, InstructionKvFilledInPlanScopeOutlivesTheArena) {
   EXPECT_EQ(plans.poisoned_resets(), 0u);
 }
 
-/// Four threads make the first autograd-free forwards of one backbone at
-/// once: two share an instruction and race to fill it, two fill others.
-/// Run under TSan by ci/run_ci.sh tsan (serve_check).
+/// Four threads make the first autograd-free forwards of one model at
+/// once, after FillLibrary() (a served version): each forwards its own
+/// prompt through the backbone (two share an instruction and race to fill
+/// it, two fill others), then runs every task's Try* entry point, starting
+/// at a different task per thread. Every output matches one thread's bit
+/// for bit. Run under TSan by ci/run_ci.sh tsan (serve_check).
 TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
   core::BigCityModel model(dataset_, model_config_);
+  model.tokenizer()->FillLibrary();
   constexpr int kThreads = 4;
   const core::Task tasks[kThreads] = {
       core::Task::kNextHop, core::Task::kNextHop,
@@ -490,7 +495,29 @@ TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
       prompts.push_back(std::move(prompt));
     }
   }
+  const data::Trajectory trajectory = Prefix(AnyTrajectory(8), 8);
+  const std::vector<std::function<util::Result<nn::Tensor>()>> every_task = {
+      [&] { return model.TryNextHopLogits(trajectory); },
+      [&] { return model.TryTravelTimeDeltas(trajectory); },
+      [&] { return model.TryClassifyLogits(trajectory); },
+      [&] { return model.TryEmbed(trajectory); },
+      [&] { return model.TryRecoverLogits(trajectory, {0, 3, 7}); },
+      [&] { return model.TryPredictTraffic(/*segment=*/1, 0, 1); },
+      [&] { return model.TryPredictTraffic(/*segment=*/1, 0, 3); },
+      [&] { return model.TryImputeTraffic(/*segment=*/1, 0, 8, {2, 5}); },
+  };
+  const auto run_every_task = [&](size_t first) {
+    std::vector<util::Result<nn::Tensor>> results(
+        every_task.size(), util::Status::Internal("not run"));
+    for (size_t k = 0; k < every_task.size(); ++k) {
+      const size_t task = (first + k) % every_task.size();
+      results[task] = every_task[task]();
+    }
+    return results;
+  };
   std::vector<nn::Tensor> concurrent(kThreads);
+  std::vector<std::vector<util::Result<nn::Tensor>>> concurrent_tasks(
+      kThreads);
   std::latch start(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -500,9 +527,16 @@ TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
       concurrent[static_cast<size_t>(t)] =
           model.backbone()->Forward(prompts[static_cast<size_t>(t)])
               .task_outputs;
+      concurrent_tasks[static_cast<size_t>(t)] =
+          run_every_task(2 * static_cast<size_t>(t));
     });
   }
   for (auto& thread : threads) thread.join();
+  std::vector<util::Result<nn::Tensor>> one_thread;
+  {
+    nn::NoGradGuard no_grad;
+    one_thread = run_every_task(0);
+  }
   for (int t = 0; t < kThreads; ++t) {
     SCOPED_TRACE(t);
     const core::PromptInput& prompt = prompts[static_cast<size_t>(t)];
@@ -513,72 +547,15 @@ TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
     }
     ExpectBitIdentical(concurrent[static_cast<size_t>(t)],
                        model.backbone()->Forward(prompt).task_outputs);
+    for (size_t task = 0; task < every_task.size(); ++task) {
+      SCOPED_TRACE(task);
+      const util::Result<nn::Tensor>& got =
+          concurrent_tasks[static_cast<size_t>(t)][task];
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(one_thread[task].ok());
+      ExpectBitIdentical(got.value(), one_thread[task].value());
+    }
   }
-}
-
-// --- Shared tokenizer representation cache ----------------------------------
-
-TEST(SpatialRepCacheTest, VersionKeyedLookupEvictionAndClear) {
-  core::SpatialRepCache cache(2);
-  nn::Tensor rep = nn::Tensor::FromData({1, 2}, {1.0f, 2.0f});
-  EXPECT_FALSE(cache.Get(1, 0).has_value());
-  cache.Put(1, 0, rep);
-  ASSERT_TRUE(cache.Get(1, 0).has_value());
-  ExpectBitIdentical(*cache.Get(1, 0), rep);
-  // Hot-swap semantics: a different model version never sees v1 entries.
-  EXPECT_FALSE(cache.Get(2, 0).has_value());
-  // Capacity 2: inserting a third entry evicts the least recently used.
-  cache.Put(1, 1, rep);
-  (void)cache.Get(1, 0);  // Touch slice 0 so slice 1 is the LRU victim.
-  cache.Put(1, 2, rep);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Get(1, 0).has_value());
-  EXPECT_FALSE(cache.Get(1, 1).has_value());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
-}
-
-TEST_F(BatchTest, SharedRepCacheWarmsSecondReplicaBitIdentically) {
-  core::SpatialRepCache shared(16);
-  core::BigCityModel a(dataset_, model_config_);
-  core::BigCityModel b(dataset_, model_config_);
-  b.CopyStateFrom(a);
-  a.tokenizer()->SetSharedRepCache(&shared, /*version=*/7);
-  b.tokenizer()->SetSharedRepCache(&shared, /*version=*/7);
-
-  nn::NoGradGuard no_grad;  // Sharing is serving-only.
-  const data::Trajectory& trajectory = AnyTrajectory(4);
-  nn::Tensor out_a = a.NextHopLogits(trajectory);
-  const uint64_t misses_after_a = shared.misses();
-  EXPECT_GT(shared.size(), 0u);
-
-  // The second replica reads every slice the first one filled: hits only,
-  // and (same weights) a bit-identical output.
-  nn::Tensor out_b = b.NextHopLogits(trajectory);
-  EXPECT_GT(shared.hits(), 0u);
-  EXPECT_EQ(shared.misses(), misses_after_a);
-  ExpectBitIdentical(out_a, out_b);
-}
-
-TEST_F(BatchTest, SharedRepCacheDistinguishesVersions) {
-  core::SpatialRepCache shared(16);
-  core::BigCityModel a(dataset_, model_config_);
-  core::BigCityModel b(dataset_, model_config_);
-  b.CopyStateFrom(a);
-  a.tokenizer()->SetSharedRepCache(&shared, /*version=*/1);
-  b.tokenizer()->SetSharedRepCache(&shared, /*version=*/2);
-
-  nn::NoGradGuard no_grad;
-  const data::Trajectory& trajectory = AnyTrajectory(4);
-  (void)a.NextHopLogits(trajectory);
-  const uint64_t hits_after_a = shared.hits();
-  const uint64_t misses_after_a = shared.misses();
-  // A hot-swapped (re-versioned) replica must miss: entries from other
-  // weights are invisible to it.
-  (void)b.NextHopLogits(trajectory);
-  EXPECT_EQ(shared.hits(), hits_after_a);
-  EXPECT_GT(shared.misses(), misses_after_a);
 }
 
 // --- Batcher dispatch policy ------------------------------------------------
@@ -812,7 +789,6 @@ TEST_F(BatchServeTest, BatchingOffMatchesBatchingOn) {
   ServeOptions off = BatchingOptions();
   off.batch_max = 1;
   off.kv_sessions = 0;
-  off.tokenizer_cache_slices = 0;
 
   InferenceServer server_on(dataset_, model_config_, on, model_);
   InferenceServer server_off(dataset_, model_config_, off, model_);

@@ -4,17 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/bigcity_model.h"
 #include "data/dataset.h"
 #include "nn/tensor.h"
+#include "obs/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/rollout.h"
 #include "serve/server.h"
@@ -45,6 +49,10 @@ void CorruptFile(const std::string& path, size_t offset) {
   byte = static_cast<char>(byte ^ 0x5A);
   file.seekp(static_cast<std::streamoff>(offset));
   file.write(&byte, 1);
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
 }
 
 class RolloutTest : public ::testing::Test {
@@ -313,8 +321,17 @@ TEST_F(RolloutTest, GateFailsOnLatencyInflation) {
   options.canary_latency_inflation = 3.0;
   CohortStats stable;
   CohortStats canary;
-  for (int i = 0; i < 8; ++i) stable.RecordSuccess(100);
-  for (int i = 0; i < 8; ++i) canary.RecordSuccess(1000);
+  for (int i = 0; i < 20; ++i) stable.RecordSuccess(100);
+  for (int i = 0; i < 20; ++i) canary.RecordSuccess(1000);
+  // The p95 of 20 samples is their maximum: the gate waits until both
+  // cohorts hold kMinLatencySamples.
+  EXPECT_EQ(EvaluateCanary(stable.Get(), canary.Get(), options, nullptr),
+            GateVerdict::kNotReady);
+  canary.RecordSuccess(1000);
+  EXPECT_EQ(EvaluateCanary(stable.Get(), canary.Get(), options, nullptr),
+            GateVerdict::kNotReady);
+  stable.RecordSuccess(100);
+  ASSERT_EQ(stable.Get().latency_samples, kMinLatencySamples);
   std::string reason;
   EXPECT_EQ(EvaluateCanary(stable.Get(), canary.Get(), options, &reason),
             GateVerdict::kFail);
@@ -401,6 +418,9 @@ TEST_F(RolloutTest, HotSwapPromotesHealthyVersion) {
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.model_version, 0u);
 
+  // Staging builds the candidate's whole ST feature library once; no
+  // request fills a slice.
+  const uint64_t fills_before = CounterValue("serve.cache.tokenizer.miss");
   core::BigCityModel next = MakeVariantModel(123);
   ASSERT_TRUE(PublishModel(dir, next).ok());
 
@@ -416,6 +436,15 @@ TEST_F(RolloutTest, HotSwapPromotesHealthyVersion) {
   }
   ASSERT_TRUE(server.WaitForRolloutState(RolloutState::kStable, 2000));
   EXPECT_EQ(server.generation(), 1u);
+#if BIGCITY_OBS
+  EXPECT_EQ(CounterValue("serve.cache.tokenizer.miss") - fills_before,
+            static_cast<uint64_t>(
+                obs::MetricsRegistry::Global()
+                    .GetGauge("core.st_library.slices")
+                    ->Value()));
+#else
+  (void)fills_before;
+#endif
 
   Response after = server.ServeSync(request);
   ASSERT_TRUE(after.status.ok());
@@ -426,6 +455,33 @@ TEST_F(RolloutTest, HotSwapPromotesHealthyVersion) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(after.output.data(), direct.value().data());
   server.Stop();
+}
+
+TEST_F(RolloutTest, CanaryTakesEveryNumWorkersthDequeue) {
+  const std::string dir = MakeModelDir("canary_share");
+  ServeOptions options = RolloutOptionsFor(dir, /*num_workers=*/2);
+  // Keep the candidate on trial for the whole test.
+  options.rollout.canary_min_requests = 1 << 20;
+  options.rollout.canary_timeout_ms = 60000;
+  InferenceServer server(dataset_, model_config_, options, prototype_);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(PublishModel(dir, MakeVariantModel(17)).ok());
+  ASSERT_TRUE(server.WaitForRolloutState(RolloutState::kCanary, 10000));
+
+  // Sequential requests are one dequeue each: the canary takes the first
+  // and every second one after it.
+  Request request = NextHopRequest();
+  for (int i = 0; i < 8; ++i) {
+    SCOPED_TRACE(i);
+    Response response = server.ServeSync(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.model_version, i % 2 == 0 ? 1u : 0u);
+  }
+  EXPECT_EQ(server.rollout_state(), RolloutState::kCanary);
+  // Shutdown mid-canary leaves the stable version in place.
+  server.Stop();
+  EXPECT_EQ(server.stable_version(), 0u);
+  EXPECT_EQ(server.rollout_state(), RolloutState::kIdle);
 }
 
 TEST_F(RolloutTest, NanCanaryRollsBackBitIdentical) {
@@ -519,6 +575,48 @@ TEST_F(RolloutTest, InflatedCanaryLatencyRollsBack) {
   ASSERT_TRUE(server.registry()->IsQuarantined(1));
   EXPECT_NE(server.registry()->Quarantined().at(1).find("p95"),
             std::string::npos);
+  server.Stop();
+}
+
+TEST_F(RolloutTest, OneWorkerPromotesWithStableForwardInFlight) {
+  // With one worker every dequeue after the canary starts is the
+  // canary's, so the stable cohort only ever holds forwards picked before
+  // it. One such forward finishing after the cohorts restart must not
+  // hold the latency criterion's sample floor until the canary starves.
+  const std::string dir = MakeModelDir("one_worker");
+  ServeOptions options = RolloutOptionsFor(dir, /*num_workers=*/1);
+  options.hang_threshold_ms = 60000;  // The held forward is no hang.
+  InferenceServer server(dataset_, model_config_, options, prototype_);
+  ASSERT_TRUE(server.Start().ok());
+
+  Request request = NextHopRequest();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  util::FaultInjection::Arm(util::kFaultServeWorkerStall, 0, 1, 60000);
+  std::future<Response> held = server.Submit(request);
+  while (util::FaultInjection::FireCount(util::kFaultServeWorkerStall) == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(PublishModel(dir, MakeVariantModel(41)).ok());
+  ASSERT_TRUE(server.WaitForRolloutState(RolloutState::kCanary, 10000));
+  util::FaultInjection::Disarm(util::kFaultServeWorkerStall);
+  const Response stray = held.get();
+  ASSERT_TRUE(stray.status.ok()) << stray.status.ToString();
+  EXPECT_EQ(stray.model_version, 0u);
+
+  while (server.rollout_state() == RolloutState::kCanary) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the canary was never judged";
+    Response response = server.ServeSync(request);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.model_version, 1u);
+  }
+  ASSERT_TRUE(server.WaitForRolloutState(RolloutState::kStable, 2000))
+      << (server.registry()->IsQuarantined(1)
+              ? server.registry()->Quarantined().at(1)
+              : std::string("not quarantined"));
+  EXPECT_EQ(server.stable_version(), 1u);
   server.Stop();
 }
 

@@ -28,6 +28,10 @@ uint64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name)->Value();
 }
 
+double GaugeValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetGauge(name)->Value();
+}
+
 /// Counter-delta assertion that degrades to a no-op under the obs-off
 /// build flavor, where every BIGCITY_COUNTER_INC probe compiles out and
 /// the registry never moves. The behavioral assertions around each call
@@ -53,8 +57,8 @@ void ExpectCounterDeltaAtLeast(const char* name, uint64_t before,
 #endif
 }
 
-/// Shared tiny dataset + prototype model (weights copied into server
-/// replicas), built once for the suite.
+/// Shared tiny dataset + prototype model (weights copied into the served
+/// model), built once for the suite.
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -198,9 +202,14 @@ TEST_F(ServeTest, ResponseBitIdenticalToDirectForward) {
   }
 }
 
+/// Also the one-model-per-version contract (DESIGN.md §4.11): Start fills
+/// one ST feature library whatever num_workers is, and requests only read
+/// it.
 TEST_F(ServeTest, ServesEveryTask) {
   ServeOptions options = FastOptions();
-  options.num_workers = 2;
+  options.num_workers = 4;
+  const uint64_t misses_before = CounterValue("serve.cache.tokenizer.miss");
+  const uint64_t hits_before = CounterValue("serve.cache.tokenizer.hit");
   InferenceServer server(dataset_, model_config_, options, prototype_);
   ASSERT_TRUE(server.Start().ok());
 
@@ -233,6 +242,17 @@ TEST_F(ServeTest, ServesEveryTask) {
         << "task " << i << ": " << response.status.ToString();
     EXPECT_TRUE(response.output.is_valid());
   }
+  server.Stop();
+#if BIGCITY_OBS
+  const double slices = GaugeValue("core.st_library.slices");
+  EXPECT_GE(slices, 1.0);
+  EXPECT_EQ(CounterValue("serve.cache.tokenizer.miss") - misses_before,
+            static_cast<uint64_t>(slices));
+  EXPECT_GT(CounterValue("serve.cache.tokenizer.hit"), hits_before);
+#else
+  (void)misses_before;
+  (void)hits_before;
+#endif
 }
 
 // --- Load shedding ----------------------------------------------------------
@@ -701,7 +721,7 @@ TEST_F(ServeTest, ReplicaReloadRetriesTransientFaults) {
     ASSERT_TRUE(server.Start().ok());
     EXPECT_EQ(fault.fire_count(), 1);
     ExpectCounterDeltaAtLeast("serve.reload.retries", retries_before, 1);
-    // The reloaded replica serves results identical to the prototype.
+    // The reloaded model serves results identical to the prototype.
     Request request = NextHopRequest();
     Response response = server.ServeSync(request);
     ASSERT_TRUE(response.status.ok());
@@ -810,7 +830,6 @@ TEST_F(ServeTest, ResponsesEchoTraceIdAndStageBreakdown) {
     EXPECT_GE(response.stages.batch_wait_us, 0.0);
     EXPECT_GE(response.stages.validate_us, 0.0);
     EXPECT_GE(response.stages.tokenize_us, 0.0);
-    EXPECT_GE(response.stages.cache_lookup_us, 0.0);
     EXPECT_GE(response.stages.retry_us, 0.0);
     EXPECT_NEAR(response.stages.Total(), response.total_us,
                 std::max(0.10 * response.total_us, 500.0));

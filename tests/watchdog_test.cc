@@ -272,7 +272,7 @@ TEST_F(WatchdogTest, ReapsHungWorkerWithDefiniteStatusAndReplacesIt) {
 
   // Release the wedged thread (it parks until Stop joins it) and verify
   // no permanent capacity loss: the replacement worker serves, and its
-  // outputs are bit-identical to the pre-hang replica's.
+  // outputs are bit-identical to the pre-hang responses.
   util::FaultInjection::Disarm(util::kFaultServeWorkerStall);
   for (int i = 0; i < 8; ++i) {
     Response after = server.ServeSync(NextHopRequest());
@@ -280,7 +280,7 @@ TEST_F(WatchdogTest, ReapsHungWorkerWithDefiniteStatusAndReplacesIt) {
     ASSERT_EQ(after.output.data().size(), before.output.data().size());
     for (size_t j = 0; j < before.output.data().size(); ++j) {
       ASSERT_EQ(after.output.data()[j], before.output.data()[j])
-          << "replacement replica output diverged at " << j;
+          << "replacement worker output diverged at " << j;
     }
   }
   server.Stop();

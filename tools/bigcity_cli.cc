@@ -30,7 +30,7 @@
 // The --city/--scale pair must match between train and eval/serve/publish
 // (the model's label space is city-specific). A checkpoint produced by
 // `train` carries LoRA adapters: pass --load on both the publish and the
-// serve side (or neither) so the replicas' parameter sets line up.
+// serve side (or neither) so the served model's parameter set lines up.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -126,7 +126,7 @@ void PrintUsage() {
       "                    N applied steps, written to the run report\n"
       "  --requests PATH   serve: trajectory CSV (see generate) to replay\n"
       "  --task NAME       serve: next|tte|class|embed (default next)\n"
-      "  --workers N       serve: worker threads / model replicas (default 2)\n"
+      "  --workers N       serve: worker threads (default 2)\n"
       "  --queue N         serve: admission queue capacity (default 16)\n"
       "  --deadline-ms F   serve: per-request deadline; 0 = none\n"
       "  --batch-max N     serve: coalesce up to N same-task requests per\n"
@@ -134,7 +134,7 @@ void PrintUsage() {
       "                    to per-request forwards for any N\n"
       "  --batch-window-us F serve: max wait for batch-mates (default 200)\n"
       "  --no-batching     serve: batch max 1 (every request forwards\n"
-      "                    alone; no shared tokenizer/KV caches)\n"
+      "                    alone; no KV sessions)\n"
       "  --model-dir D     serve: watch D for published versions and\n"
       "                    hot-swap them through the canary gate;\n"
       "                    publish: versioned destination directory\n"
@@ -456,10 +456,9 @@ int RunServe(const CliOptions& options) {
   serve_options.batch_max = std::max(1, options.batch_max);
   serve_options.batch_window_us = std::max(0.0, options.batch_window_us);
   if (!options.batching) {
-    // Batches of one all the way down: no shared tokenizer rep cache, no
-    // KV sessions (matches bench_serve's batching-off arm).
+    // Batches of one all the way down, no KV sessions (matches
+    // bench_serve's batching-off arm).
     serve_options.batch_max = 1;
-    serve_options.tokenizer_cache_slices = 0;
     serve_options.kv_sessions = 0;
   }
   serve_options.checkpoint_path = options.load;
@@ -901,7 +900,7 @@ void RenderTop(const TopState& state, const std::string& path) {
                                    ? state.batch_size_sum /
                                          state.batch_size_count
                                    : 0.0, 2)});
-  summary.AddRow({"tokenizer cache hit rate",
+  summary.AddRow({"ST library hit rate",
                   util::TablePrinter::Num(hit_rate("tokenizer"))});
   summary.AddRow({"kv cache hit rate", util::TablePrinter::Num(hit_rate("kv"))});
   summary.Print();

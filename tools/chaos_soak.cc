@@ -780,10 +780,11 @@ int ChaosSoak::Run() {
   serve_options.retry_backoff_ms = 0.1;
   serve_options.rollout.model_dir = options_.model_dir;
   serve_options.rollout.poll_interval_ms = 10;
-  // The hammering load mix keeps hitting trajectories the freshly staged
-  // replica has never tokenized, so its earliest forwards run an order of
-  // magnitude slower than the warm stable cohort's. Slow start discards
-  // those cold samples and the gate judges the next warm window; the
+  // The hammering load mix keeps hitting tasks the freshly staged version
+  // has not served yet (its first forward of a task fills that task's
+  // instruction K/V), so its earliest forwards run slower than the warm
+  // stable cohort's. Slow start discards those cold samples and the gate
+  // judges the next warm window; the
   // injected canary fault (seconds per forward) inflates every sample, so
   // the latency event still trips by orders of magnitude.
   serve_options.rollout.canary_slow_start_samples = 48;
