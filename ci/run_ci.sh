@@ -36,14 +36,17 @@
 #            and a short rollout smoke whose schedule includes the
 #            leak-site memory-pressure scenario.
 #   tsan     RelWithDebInfo build with TSan running the serve_check suite
-#            (server, batcher, KV session store, thread pool, watchdog, and
-#            four threads filling one backbone's instruction K/V at once)
+#            (server, the one bounded batching queue under concurrent
+#            producers and workers, KV session store, thread pool,
+#            watchdog, and four threads filling one backbone's
+#            instruction K/V at once)
 #            and the packed-weight suite (four threads racing to pack one
 #            shared model's weights on their first forwards),
 #            plus a short batched serve smoke — the batching engine's
-#            cross-thread handoffs (batcher queues, shared tokenizer/KV
-#            caches, promise completion) and the watchdog's hang-injection
-#            reap/replace path must be clean under the race detector.
+#            cross-thread handoffs (the one request queue, shared
+#            tokenizer/KV caches, promise completion) and the watchdog's
+#            hang-injection reap/replace path must be clean under the
+#            race detector.
 #   obs-off  Release build with -DBIGCITY_OBS=OFF proving every probe
 #            compiles out and the full suite still passes.
 set -euo pipefail
@@ -202,7 +205,7 @@ run_sanitize() {
   cmake --build build-ci-asan -j"$PAR" --target resilience_check
   log "sanitize: kernel suite"
   cmake --build build-ci-asan -j"$PAR" --target kernels_check
-  log "sanitize: serving suite (admission/deadline/retry/breaker/degrade)"
+  log "sanitize: serving suite (queue/deadline/retry/breaker/degrade)"
   cmake --build build-ci-asan -j"$PAR" --target serve_check
   log "sanitize: CLI train smoke (--threads 2)"
   cmake --build build-ci-asan -j"$PAR" --target bigcity_cli
@@ -222,7 +225,7 @@ run_tsan() {
   # suite spins real worker/batcher/watcher threads under load.
   cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DBIGCITY_SANITIZE=thread
-  log "tsan: serving suite (server, batcher, KV sessions, thread pool)"
+  log "tsan: serving suite (server, request queue, KV sessions, thread pool)"
   cmake --build build-ci-tsan -j"$PAR" --target serve_check
   log "tsan: packed-weight suite (concurrent first forwards, one model)"
   cmake --build build-ci-tsan -j"$PAR" --target packed_weight_test
@@ -232,7 +235,7 @@ run_tsan() {
   local out="ci-artifacts/tsan"
   rm -rf "$out"
   mkdir -p "$out"
-  # The smoke drives the full engine — admission, batcher coalescing, one
+  # The smoke drives the full engine — the bounded batching queue, one
   # model per version shared by every worker, KV sessions, hot-swap
   # reload — with every cross-thread handoff under the race detector. TSan
   # aborts the run on a report.

@@ -4,36 +4,37 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "serve/admission_queue.h"
-
 namespace bigcity::serve {
 
-/// Continuous-batching stage between the admission queue and the workers
-/// (DESIGN.md §4.14). Workers call NextBatch() instead of popping the
-/// queue directly; the batcher drains arrivals into per-key pending
-/// groups and hands out same-key batches. A group dispatches when
+/// The one queue between Submit and the workers (DESIGN.md §4.11, §4.14):
+/// bounded admission with explicit load shedding, and continuous batching
+/// on dispatch. TryPush never blocks — a full queue rejects at once, so
+/// overload turns into fast kResourceExhausted responses instead of
+/// unbounded latency growth — and the bound counts every admitted item no
+/// worker has taken yet. Workers call NextBatch(), which hands out
+/// same-key batches. A group dispatches when
 ///   - it reaches `batch_max` items,
-///   - its oldest item has waited `window_us` since the batcher saw it,
+///   - its oldest item has waited `window_us` since a worker first
+///     examined it,
 ///   - any member is urgent — remaining deadline within the caller's
 ///     margin — so a nearly-expired request never waits for batch fill, or
 ///   - the queue is closed (drain-then-stop shutdown).
 /// Items with a negative key are never batched: they dispatch alone,
-/// immediately. Thread-safe: any number of workers may call NextBatch()
-/// concurrently; group selection is serialized under one mutex while the
-/// blocking wait happens inside the queue, so a new arrival wakes exactly
-/// one idle worker. Header-only template for the same reason as
-/// AdmissionQueue — the item type stays private to the server.
+/// immediately. Thread-safe: any number of producers and workers share one
+/// mutex and one condition variable. Header-only template so the item type
+/// (request + promise + deadline bookkeeping) stays private to the server.
 template <typename T>
 class Batcher {
  public:
   struct Options {
+    size_t capacity = 16;
     int batch_max = 8;
     double window_us = 200.0;
   };
@@ -43,107 +44,146 @@ class Batcher {
   /// microseconds (infinity when it carries no deadline); `margin_us_fn`
   /// is the urgency threshold, typically window + max(p95 forward,
   /// window) so an urgent item still fits one forward after dispatch.
-  /// Optional `dispatch_fn` runs (under the batcher mutex) for every
-  /// dispatched item with the microseconds it waited pending — the
-  /// server stamps per-request batch-wait attribution from it. Optional
-  /// `batch_max_fn` overrides Options::batch_max per dispatch decision;
-  /// the overload controller shrinks batches under memory pressure
-  /// through it without restarting the batcher.
-  Batcher(AdmissionQueue<T>* queue, Options options,
-          std::function<int(const T&)> key_fn,
+  /// Optional `dispatch_fn` runs (under the queue mutex) for every
+  /// dispatched item with the microseconds it waited since a worker first
+  /// examined it — the server stamps per-request batch-wait attribution
+  /// from it. Optional `batch_max_fn` overrides Options::batch_max per
+  /// dispatch decision; the overload controller shrinks batches under
+  /// memory pressure through it.
+  Batcher(Options options, std::function<int(const T&)> key_fn,
           std::function<double(const T&)> remaining_us_fn,
           std::function<double()> margin_us_fn,
           std::function<void(T&, double)> dispatch_fn = nullptr,
           std::function<int()> batch_max_fn = nullptr)
-      : queue_(queue),
-        options_(options),
+      : options_(options),
         key_fn_(std::move(key_fn)),
         remaining_us_fn_(std::move(remaining_us_fn)),
         margin_us_fn_(std::move(margin_us_fn)),
         dispatch_fn_(std::move(dispatch_fn)),
-        batch_max_fn_(std::move(batch_max_fn)) {}
+        batch_max_fn_(std::move(batch_max_fn)),
+        effective_capacity_(options.capacity) {}
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
 
+  /// False when the queue is closed or effective_capacity() items already
+  /// wait. Takes an rvalue reference so a rejected item is NOT consumed —
+  /// the caller still owns it and can resolve its promise with the shed
+  /// status.
+  bool TryPush(T&& item) {
+    const int key = key_fn_(item);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_ || depth_ >= effective_capacity_) return false;
+      auto group = std::find_if(groups_.begin(), groups_.end(),
+                                [key](const Group& g) { return g.key == key; });
+      if (group == groups_.end()) group = groups_.insert(group, Group{key, {}});
+      group->items.push_back(PendingItem{std::move(item), kUnseen});
+      ++depth_;
+    }
+    cv_.notify_one();
+    return true;
+  }
+
   /// Blocks for the next batch; an empty result means the queue is closed
-  /// and every pending item has been handed out (worker shutdown).
+  /// and every admitted item has been handed out (worker shutdown).
   std::vector<T> NextBatch() {
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      while (std::optional<T> item = queue_->TryPop()) Add(std::move(*item));
-      double wait_us = kIdleWaitUs;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::vector<T> batch = ExtractLocked();
-        if (!batch.empty()) {
-          // Leftover pending items need a babysitter: wake an idle worker
-          // so their window timer keeps running while this one forwards.
-          if (!groups_.empty()) queue_->Kick();
-          return batch;
-        }
-        if (groups_.empty()) {
-          if (queue_->closed() && queue_->depth() == 0) return {};
-        } else {
-          wait_us = WaitHintLocked();
-        }
+      // The margin may sort the forward-latency window: compute it outside
+      // the lock producers share, after this look has ended the queue
+      // wait of what it found.
+      StampUnseenLocked(Clock::now());
+      lock.unlock();
+      const double margin_us = margin_us_fn_();
+      const int batch_max =
+          std::max(1, batch_max_fn_ ? batch_max_fn_() : options_.batch_max);
+      lock.lock();
+      const Clock::time_point now = Clock::now();
+      StampUnseenLocked(now);
+      std::vector<T> batch = ExtractLocked(now, margin_us, batch_max);
+      if (!batch.empty()) {
+        const bool waiting = depth_ > 0;
+        lock.unlock();
+        // Waiting items need a babysitter: wake another worker so their
+        // window timer keeps running while this one forwards.
+        if (waiting) cv_.notify_one();
+        return batch;
       }
-      if (std::optional<T> item = queue_->PopFor(wait_us)) {
-        Add(std::move(*item));
+      if (depth_ == 0) {
+        if (closed_) return {};
+        cv_.wait(lock, [&] { return closed_ || depth_ > 0; });
+      } else {
+        cv_.wait_for(lock, std::chrono::duration<double, std::micro>(
+                               WaitHintLocked(now, margin_us)));
       }
     }
   }
 
-  /// Items drained from the queue but not yet dispatched (tests).
-  size_t pending() const {
+  /// Stops admissions and wakes every worker. Items already admitted are
+  /// still handed out (drain-then-stop shutdown).
+  void Close() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Items admitted but not yet handed to a worker.
+  size_t depth() const {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t total = 0;
-    for (const Group& group : groups_) total += group.items.size();
-    return total;
+    return depth_;
+  }
+
+  /// Tightens (or restores) the admission bound without touching waiting
+  /// items; Options::capacity stays the hard ceiling. The overload
+  /// controller shrinks this under memory pressure so the backlog stops
+  /// growing before allocation failure.
+  void SetEffectiveCapacity(size_t capacity) {
+    std::lock_guard<std::mutex> lock(mu_);
+    effective_capacity_ =
+        std::min(options_.capacity, std::max<size_t>(1, capacity));
+  }
+
+  size_t effective_capacity() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return effective_capacity_;
   }
 
  private:
   using Clock = std::chrono::steady_clock;
 
+  // Stamp of an item no worker has examined yet.
+  static constexpr Clock::time_point kUnseen{};
+
   struct PendingItem {
     T item;
-    Clock::time_point arrived;
+    Clock::time_point seen;  // When a worker first examined it.
   };
   struct Group {
     int key = 0;
-    std::vector<PendingItem> items;  // FIFO by arrival.
+    std::vector<PendingItem> items;  // FIFO by admission.
   };
 
-  // Idle workers park this long in PopFor; Close() and Kick() both wake
-  // them immediately, so the constant only bounds lock-free idling.
-  static constexpr double kIdleWaitUs = 1e6;
-
-  int CurrentBatchMax() const {
-    return batch_max_fn_ ? batch_max_fn_() : options_.batch_max;
-  }
-
-  void Add(T&& item) {
-    const int key = key_fn_(item);
-    std::lock_guard<std::mutex> lock(mu_);
-    const Clock::time_point now = Clock::now();
+  /// Ends the queue wait of every item admitted since the last
+  /// examination. Unseen items sit at the tail of their group.
+  void StampUnseenLocked(Clock::time_point now) {
     for (Group& group : groups_) {
-      if (group.key == key) {
-        group.items.push_back(PendingItem{std::move(item), now});
-        return;
+      for (auto it = group.items.rbegin();
+           it != group.items.rend() && it->seen == kUnseen; ++it) {
+        it->seen = now;
       }
     }
-    groups_.push_back(Group{key, {}});
-    groups_.back().items.push_back(PendingItem{std::move(item), now});
   }
 
   bool DispatchableLocked(const Group& group, Clock::time_point now,
-                          double margin_us) const {
+                          double margin_us, int batch_max) const {
     if (group.key < 0) return true;  // Unbatchable: alone, immediately.
-    if (queue_->closed()) return true;
-    if (static_cast<int>(group.items.size()) >= CurrentBatchMax()) {
-      return true;
-    }
+    if (closed_) return true;
+    if (static_cast<int>(group.items.size()) >= batch_max) return true;
     const double oldest_us = std::chrono::duration<double, std::micro>(
-                                 now - group.items.front().arrived)
+                                 now - group.items.front().seen)
                                  .count();
     if (oldest_us >= options_.window_us) return true;
     for (const PendingItem& pending : group.items) {
@@ -154,16 +194,15 @@ class Batcher {
 
   /// Removes and returns the dispatchable group with the oldest head
   /// (fairness across tasks); empty when nothing may dispatch yet.
-  std::vector<T> ExtractLocked() {
-    const Clock::time_point now = Clock::now();
-    const double margin_us = margin_us_fn_();
+  std::vector<T> ExtractLocked(Clock::time_point now, double margin_us,
+                               int batch_max) {
     size_t best = groups_.size();
     for (size_t i = 0; i < groups_.size(); ++i) {
-      if (groups_[i].items.empty()) continue;
-      if (!DispatchableLocked(groups_[i], now, margin_us)) continue;
+      if (!DispatchableLocked(groups_[i], now, margin_us, batch_max)) {
+        continue;
+      }
       if (best == groups_.size() ||
-          groups_[i].items.front().arrived <
-              groups_[best].items.front().arrived) {
+          groups_[i].items.front().seen < groups_[best].items.front().seen) {
         best = i;
       }
     }
@@ -171,40 +210,37 @@ class Batcher {
     if (best == groups_.size()) return batch;
     Group& group = groups_[best];
     const size_t take =
-        group.key < 0
-            ? 1
-            : std::min(group.items.size(),
-                       static_cast<size_t>(std::max(1, CurrentBatchMax())));
+        group.key < 0 ? 1
+                      : std::min(group.items.size(),
+                                 static_cast<size_t>(batch_max));
     batch.reserve(take);
     for (size_t i = 0; i < take; ++i) {
       if (dispatch_fn_) {
         dispatch_fn_(group.items[i].item,
                      std::chrono::duration<double, std::micro>(
-                         now - group.items[i].arrived)
+                         now - group.items[i].seen)
                          .count());
       }
       batch.push_back(std::move(group.items[i].item));
     }
     group.items.erase(group.items.begin(),
                       group.items.begin() + static_cast<ptrdiff_t>(take));
-    groups_.erase(
-        std::remove_if(groups_.begin(), groups_.end(),
-                       [](const Group& g) { return g.items.empty(); }),
-        groups_.end());
+    if (group.items.empty()) {
+      groups_.erase(groups_.begin() + static_cast<ptrdiff_t>(best));
+    }
+    depth_ -= take;
     return batch;
   }
 
-  /// Microseconds until the nearest dispatch trigger among pending items
+  /// Microseconds until the nearest dispatch trigger among waiting items
   /// (window expiry or deadline urgency), floored so a wait is never a
   /// pure spin.
-  double WaitHintLocked() const {
-    const Clock::time_point now = Clock::now();
-    const double margin_us = margin_us_fn_();
+  double WaitHintLocked(Clock::time_point now, double margin_us) const {
     double hint = options_.window_us;
     for (const Group& group : groups_) {
-      if (group.items.empty() || group.key < 0) continue;
+      if (group.key < 0) continue;
       const double oldest_us = std::chrono::duration<double, std::micro>(
-                                   now - group.items.front().arrived)
+                                   now - group.items.front().seen)
                                    .count();
       hint = std::min(hint, options_.window_us - oldest_us);
       for (const PendingItem& pending : group.items) {
@@ -217,7 +253,6 @@ class Batcher {
     return std::max(hint, 50.0);
   }
 
-  AdmissionQueue<T>* queue_;
   const Options options_;
   const std::function<int(const T&)> key_fn_;
   const std::function<double(const T&)> remaining_us_fn_;
@@ -226,7 +261,11 @@ class Batcher {
   const std::function<int()> batch_max_fn_;
 
   mutable std::mutex mu_;
-  std::vector<Group> groups_;
+  std::condition_variable cv_;
+  std::vector<Group> groups_;  // Never holds an empty group.
+  size_t depth_ = 0;           // Items across groups_.
+  size_t effective_capacity_;
+  bool closed_ = false;
 };
 
 }  // namespace bigcity::serve

@@ -16,8 +16,8 @@ namespace bigcity::serve {
 /// memory (mem.* tracker), plan-arena bytes, and injected leak bytes
 /// against the budget every tick, and the server consults the resulting
 /// state to shed at admission, shrink the continuous batcher's batch_max,
-/// trim KV-session capacity, and tighten the admission-queue bound —
-/// before an allocation ever fails.
+/// trim KV-session capacity, and tighten the queue bound on waiting
+/// requests — before an allocation ever fails.
 ///
 /// State machine (one-way per tick, hysteresis on the way down):
 ///
@@ -93,12 +93,13 @@ class OverloadController {
   /// KV-session capacity under the same halving policy (0 stays 0).
   size_t EffectiveKvCapacity(size_t configured) const;
 
-  /// Admission-queue bound under the same halving policy (floored at 1 so
-  /// the server never wedges with an unpoppable queue).
+  /// Bound on requests waiting for a worker, under the same halving
+  /// policy (floored at 1 so the server never wedges with a queue that
+  /// admits nothing).
   size_t EffectiveQueueCapacity(size_t configured) const;
 
   /// CoDel stale-drop decision for one dequeued request that waited
-  /// `sojourn_us` in the admission queue. True means drop it now with
+  /// `sojourn_us` in the queue. True means drop it now with
   /// kDeadlineExceeded instead of forwarding.
   bool ShouldDropStale(double sojourn_us, Clock::time_point now);
 

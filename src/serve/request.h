@@ -85,8 +85,8 @@ inline const char* OutcomeName(Outcome outcome) {
 /// (BIGCITY_OBS=OFF) tokenize_us reads 0 and forward_us absorbs it, so
 /// the partition still holds.
 struct StageBreakdown {
-  double queue_wait_us = 0;    // Submit -> admission-queue drain.
-  double batch_wait_us = 0;    // Batcher pending -> batch dispatch.
+  double queue_wait_us = 0;    // Submit -> a worker's first look at it.
+  double batch_wait_us = 0;    // That first look -> batch dispatch.
   double validate_us = 0;      // Input validation.
   double tokenize_us = 0;      // ST tokenization inside the forward.
   double forward_us = 0;       // Model forward minus tokenize.

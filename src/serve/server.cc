@@ -125,7 +125,40 @@ InferenceServer::InferenceServer(const data::CityDataset* dataset,
       options_(options),
       prototype_(prototype),
       baseline_(dataset),
-      queue_(static_cast<size_t>(std::max(1, options.queue_capacity))) {
+      queue_(
+          {static_cast<size_t>(std::max(1, options.queue_capacity)),
+           std::max(1, options.batch_max),
+           std::max(0.0, options.batch_window_us)},
+          [](const WorkItem& item) { return BatchKeyFor(item.request.task); },
+          [](const WorkItem& item) {
+            if (!item.has_deadline) {
+              return std::numeric_limits<double>::infinity();
+            }
+            return RemainingUs(item.deadline, Clock::now());
+          },
+          [this] {
+            // Urgency margin: the item must still fit one forward after
+            // dispatch, so window + max(p95, window) of slack triggers
+            // immediate dispatch.
+            const double window = std::max(0.0, options_.batch_window_us);
+            const double p95 =
+                forward_latency_.P95(options_.latency_min_samples);
+            return window + std::max(p95, window);
+          },
+          [](WorkItem& item, double waited_us) {
+            // Batch-dispatch stamp: time since a worker first examined the
+            // request, split out of queue_wait in the stage breakdown and
+            // recorded as the serve.batch.wait_us histogram at dequeue.
+            item.batch_wait_us = waited_us;
+          },
+          [this] {
+            // Memory pressure halves the batch ceiling (per dispatch
+            // decision, so recovery is immediate once pressure clears).
+            const int configured = std::max(1, options_.batch_max);
+            return overload_ != nullptr
+                       ? overload_->EffectiveBatchMax(configured)
+                       : configured;
+          }) {
   BIGCITY_CHECK(dataset != nullptr);
   BIGCITY_CHECK(options_.num_workers >= 1);
 }
@@ -247,52 +280,14 @@ util::Status InferenceServer::Start() {
   }
   {
     // The overload controller exists in every configuration (budget 0 =
-    // memory control disabled) so the batcher's batch_max callback and
-    // the serve.overload.* gauges are uniform.
+    // memory control disabled) so the queue's batch_max callback and the
+    // serve.overload.* gauges are uniform.
     OverloadController::Options overload_options;
     overload_options.mem_budget_bytes = options_.mem_budget_bytes;
     overload_options.sojourn_target_ms = options_.sojourn_target_ms;
     overload_options.sojourn_interval_ms = options_.sojourn_interval_ms;
     overload_ = std::make_unique<OverloadController>(overload_options);
   }
-  {
-    Batcher<WorkItem>::Options batch_options;
-    batch_options.batch_max = std::max(1, options_.batch_max);
-    batch_options.window_us = std::max(0.0, options_.batch_window_us);
-    batcher_ = std::make_unique<Batcher<WorkItem>>(
-        &queue_, batch_options,
-        [](const WorkItem& item) { return BatchKeyFor(item.request.task); },
-        [](const WorkItem& item) {
-          if (!item.has_deadline) {
-            return std::numeric_limits<double>::infinity();
-          }
-          return RemainingUs(item.deadline, Clock::now());
-        },
-        [this] {
-          // Urgency margin: the item must still fit one forward after the
-          // batcher releases it, so window + max(p95, window) of slack
-          // triggers immediate dispatch.
-          const double window = std::max(0.0, options_.batch_window_us);
-          const double p95 =
-              forward_latency_.P95(options_.latency_min_samples);
-          return window + std::max(p95, window);
-        },
-        [](WorkItem& item, double waited_us) {
-          // Batch-dispatch stamp: pending time inside the batcher, split
-          // out of queue_wait in the stage breakdown and recorded as the
-          // serve.batch.wait_us histogram at dequeue.
-          item.batch_wait_us = waited_us;
-        },
-        [this] {
-          // Memory pressure halves the batch ceiling (per dispatch
-          // decision, so recovery is immediate once pressure clears).
-          const int configured = std::max(1, options_.batch_max);
-          return overload_ != nullptr
-                     ? overload_->EffectiveBatchMax(configured)
-                     : configured;
-        });
-  }
-
   // Version discovery before the model is built: when the model dir
   // already holds a valid CURRENT version, the server boots from it.
   uint64_t initial_version = 0;
@@ -521,7 +516,7 @@ std::future<Response> InferenceServer::Submit(Request request) {
     BIGCITY_COUNTER_INC("serve.shed");
     Response response;
     response.status = util::Status::ResourceExhausted(
-        running_ ? "admission queue full" : "server not running");
+        running_ ? "queue full" : "server not running");
     Finish(item, std::move(response));
     return future;
   }
@@ -1114,7 +1109,7 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
     // Idle beat before blocking: the supervisor treats a non-busy worker
     // as healthy, so a quiet queue never looks like a hang.
     hb.epoch.fetch_add(1, std::memory_order_release);
-    std::vector<WorkItem> batch = batcher_->NextBatch();
+    std::vector<WorkItem> batch = queue_.NextBatch();
     if (batch.empty()) return;  // Closed and drained.
     BIGCITY_GAUGE_SET("serve.queue_depth", queue_.depth());
     BIGCITY_HISTOGRAM_RECORD("serve.batch.size",
@@ -1135,9 +1130,9 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
     const Clock::time_point dequeued = Clock::now();
     for (WorkItem& item : batch) {
       // Response::queue_wait_us keeps its historical admission-to-dequeue
-      // meaning; the stage breakdown splits it into pure queue wait and
-      // batcher-pending wait (stamped by the batch-dispatch callback),
-      // which partition it exactly.
+      // meaning; the stage breakdown splits it at a worker's first look at
+      // the request into queue wait and batch wait (stamped by the
+      // dispatch callback), which partition it exactly.
       item.queue_wait_us = MicrosSince(item.submitted, dequeued);
       item.batch_size = static_cast<int>(batch.size());
       item.stages.batch_wait_us = item.batch_wait_us;

@@ -21,7 +21,6 @@
 #include "core/config.h"
 #include "core/task.h"
 #include "data/dataset.h"
-#include "serve/admission_queue.h"
 #include "serve/baseline.h"
 #include "serve/batcher.h"
 #include "serve/circuit_breaker.h"
@@ -48,7 +47,8 @@ struct ServeOptions {
   /// dequeue.
   int num_workers = 2;
 
-  /// Admission queue bound; a full queue sheds with kResourceExhausted.
+  /// Bound on requests waiting for a worker, grouped for a batch or not;
+  /// a full queue sheds with kResourceExhausted.
   int queue_capacity = 16;
 
   /// Deadline applied to requests that do not carry their own
@@ -87,9 +87,9 @@ struct ServeOptions {
   /// checkpoint load (must match how the source weights were produced).
   bool attach_lora = false;
 
-  /// Continuous batching (DESIGN.md §4.14): a batcher stage between the
-  /// admission queue and the workers coalesces queued same-task requests
-  /// into one batched forward of at most batch_max requests. Outputs are
+  /// Continuous batching (DESIGN.md §4.14): the queue between Submit and
+  /// the workers hands out queued same-task requests as one batched
+  /// forward of at most batch_max requests. Outputs are
   /// bit-identical to a batch of one; dispatch is deadline-aware, so a
   /// nearly-expired request never waits for batch fill. batch_max = 1
   /// turns batching off: every request dispatches alone, immediately.
@@ -159,14 +159,15 @@ struct ServeOptions {
 /// Multi-threaded inference server over core::BigCityModel (DESIGN.md
 /// §4.11, lifecycle §4.12). The request path is
 ///
-///   Submit -> [deadline] -> bounded queue -> batcher -> worker, per
+///   Submit -> [deadline] -> bounded batching queue -> worker, per
 ///   dequeued batch of one or more same-task requests: per member
 ///   [deadline] -> validate -> [deadline]; one breaker admission; per
 ///   member budget; forward (retries) -> head
 ///
 /// with explicit, typed failure at every stage: kResourceExhausted when
-/// the queue is full, kDeadlineExceeded at the three cancellation
-/// checkpoints, kInvalidArgument for malformed inputs (quarantined before
+/// queue_capacity requests already wait for a worker (grouped for a batch
+/// or not), kDeadlineExceeded at the three cancellation checkpoints,
+/// kInvalidArgument for malformed inputs (quarantined before
 /// they can reach a CHECK in the model), kUnavailable when retries are
 /// exhausted or a breaker rejects, kInternal when the model emits a
 /// non-finite output. Degradable tasks fall back to BaselinePredictor
@@ -318,7 +319,8 @@ class InferenceServer {
     /// Process-unique id allocated at Submit; stamps this request's spans
     /// and binds its chrome://tracing flow events (DESIGN.md §4.15).
     uint64_t trace_id = 0;
-    /// Batcher pending time, stamped by the batch-dispatch callback.
+    /// Time from a worker's first look at this request to its batch's
+    /// dispatch, stamped by the queue's dispatch callback.
     double batch_wait_us = 0;
     /// Per-stage latency attribution accumulated along the request path.
     StageBreakdown stages;
@@ -427,7 +429,7 @@ class InferenceServer {
   /// replacement worker, which picks its models like every other worker.
   void ReapWorker(size_t worker);
   /// Applies the overload controller's current state to the live knobs
-  /// (queue bound, KV capacity); the batcher reads its shrunken batch_max
+  /// (queue bound, KV capacity); the queue reads its shrunken batch_max
   /// through its own callback.
   void ApplyOverloadState();
   /// The request path: every dequeue is a batch of one or more same-task
@@ -513,8 +515,9 @@ class InferenceServer {
   const core::BigCityModel* prototype_;
 
   BaselinePredictor baseline_;
-  AdmissionQueue<WorkItem> queue_;
-  std::unique_ptr<Batcher<WorkItem>> batcher_;
+  /// The one queue between Submit and the workers: bounded admission and
+  /// continuous batching (DESIGN.md §4.11, §4.14).
+  Batcher<WorkItem> queue_;
   KvSessionStore kv_sessions_;  // Capacity 0 when KV caching is off.
   LatencyEstimator forward_latency_;
   /// The served models. models_mu_ guards both pointers and the canary's

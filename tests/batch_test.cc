@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -22,7 +24,6 @@
 #include "nn/tensor.h"
 #include "nn/transformer.h"
 #include "obs/metrics.h"
-#include "serve/admission_queue.h"
 #include "serve/batcher.h"
 #include "serve/server.h"
 #include "util/fault_injection.h"
@@ -565,21 +566,22 @@ struct FakeItem {
   double remaining_us = std::numeric_limits<double>::infinity();
 };
 
-Batcher<FakeItem>::Options BatchOptions(int batch_max, double window_us) {
+Batcher<FakeItem>::Options BatchOptions(int batch_max, double window_us,
+                                        size_t capacity = 16) {
   Batcher<FakeItem>::Options options;
+  options.capacity = capacity;
   options.batch_max = batch_max;
   options.window_us = window_us;
   return options;
 }
 
 TEST(BatcherTest, FullGroupDispatchesWithoutWaitingForWindow) {
-  AdmissionQueue<FakeItem> queue(16);
   Batcher<FakeItem> batcher(
-      &queue, BatchOptions(4, /*window_us=*/10e6),
+      BatchOptions(4, /*window_us=*/10e6),
       [](const FakeItem& item) { return item.key; },
       [](const FakeItem& item) { return item.remaining_us; },
       [] { return 1000.0; });
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(queue.TryPush(FakeItem{1}));
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(batcher.TryPush(FakeItem{1}));
   const auto start = std::chrono::steady_clock::now();
   std::vector<FakeItem> batch = batcher.NextBatch();
   const double elapsed_us = std::chrono::duration<double, std::micro>(
@@ -590,28 +592,26 @@ TEST(BatcherTest, FullGroupDispatchesWithoutWaitingForWindow) {
 }
 
 TEST(BatcherTest, WindowExpiryDispatchesPartialGroup) {
-  AdmissionQueue<FakeItem> queue(16);
   Batcher<FakeItem> batcher(
-      &queue, BatchOptions(8, /*window_us=*/5000.0),
+      BatchOptions(8, /*window_us=*/5000.0),
       [](const FakeItem& item) { return item.key; },
       [](const FakeItem& item) { return item.remaining_us; },
       [] { return 1000.0; });
-  ASSERT_TRUE(queue.TryPush(FakeItem{1}));
-  ASSERT_TRUE(queue.TryPush(FakeItem{1}));
+  ASSERT_TRUE(batcher.TryPush(FakeItem{1}));
+  ASSERT_TRUE(batcher.TryPush(FakeItem{1}));
   std::vector<FakeItem> batch = batcher.NextBatch();
   EXPECT_EQ(batch.size(), 2u);  // Both, once the window lapsed.
 }
 
 TEST(BatcherTest, UrgentItemNeverWaitsForBatchFill) {
-  AdmissionQueue<FakeItem> queue(16);
   Batcher<FakeItem> batcher(
-      &queue, BatchOptions(8, /*window_us=*/10e6),
+      BatchOptions(8, /*window_us=*/10e6),
       [](const FakeItem& item) { return item.key; },
       [](const FakeItem& item) { return item.remaining_us; },
       [] { return 100e3; });  // 100ms urgency margin.
   // One item with only 1ms of budget left: dispatch immediately even
   // though the group is nowhere near batch_max and the window is 10s.
-  ASSERT_TRUE(queue.TryPush(FakeItem{1, 1000.0}));
+  ASSERT_TRUE(batcher.TryPush(FakeItem{1, 1000.0}));
   const auto start = std::chrono::steady_clock::now();
   std::vector<FakeItem> batch = batcher.NextBatch();
   const double elapsed_us = std::chrono::duration<double, std::micro>(
@@ -622,16 +622,15 @@ TEST(BatcherTest, UrgentItemNeverWaitsForBatchFill) {
 }
 
 TEST(BatcherTest, GroupsNeverMixKeysAndDrainOnClose) {
-  AdmissionQueue<FakeItem> queue(16);
   Batcher<FakeItem> batcher(
-      &queue, BatchOptions(8, /*window_us=*/10e6),
+      BatchOptions(8, /*window_us=*/10e6),
       [](const FakeItem& item) { return item.key; },
       [](const FakeItem& item) { return item.remaining_us; },
       [] { return 1000.0; });
-  ASSERT_TRUE(queue.TryPush(FakeItem{1}));
-  ASSERT_TRUE(queue.TryPush(FakeItem{2}));
-  ASSERT_TRUE(queue.TryPush(FakeItem{1}));
-  queue.Close();  // Closed queue: everything dispatches, still per key.
+  ASSERT_TRUE(batcher.TryPush(FakeItem{1}));
+  ASSERT_TRUE(batcher.TryPush(FakeItem{2}));
+  ASSERT_TRUE(batcher.TryPush(FakeItem{1}));
+  batcher.Close();  // Closed queue: everything dispatches, still per key.
   std::vector<FakeItem> first = batcher.NextBatch();
   std::vector<FakeItem> second = batcher.NextBatch();
   ASSERT_EQ(first.size(), 2u);
@@ -643,14 +642,13 @@ TEST(BatcherTest, GroupsNeverMixKeysAndDrainOnClose) {
 }
 
 TEST(BatcherTest, NegativeKeyDispatchesAloneImmediately) {
-  AdmissionQueue<FakeItem> queue(16);
   Batcher<FakeItem> batcher(
-      &queue, BatchOptions(8, /*window_us=*/10e6),
+      BatchOptions(8, /*window_us=*/10e6),
       [](const FakeItem& item) { return item.key; },
       [](const FakeItem& item) { return item.remaining_us; },
       [] { return 1000.0; });
-  ASSERT_TRUE(queue.TryPush(FakeItem{-1}));
-  ASSERT_TRUE(queue.TryPush(FakeItem{-1}));
+  ASSERT_TRUE(batcher.TryPush(FakeItem{-1}));
+  ASSERT_TRUE(batcher.TryPush(FakeItem{-1}));
   const auto start = std::chrono::steady_clock::now();
   EXPECT_EQ(batcher.NextBatch().size(), 1u);
   EXPECT_EQ(batcher.NextBatch().size(), 1u);
@@ -658,6 +656,103 @@ TEST(BatcherTest, NegativeKeyDispatchesAloneImmediately) {
                                 std::chrono::steady_clock::now() - start)
                                 .count();
   EXPECT_LT(elapsed_us, 5e6);
+}
+
+TEST(BatcherTest, CapacityCountsExaminedItemsUntilTaken) {
+  Batcher<FakeItem> batcher(
+      BatchOptions(8, /*window_us=*/10e6, /*capacity=*/4),
+      [](const FakeItem& item) { return item.key; },
+      [](const FakeItem& item) { return item.remaining_us; },
+      [] { return 1000.0; });
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(batcher.TryPush(FakeItem{-1}));
+  // The worker examined all four but took one: three still wait, so
+  // exactly one slot is free.
+  EXPECT_EQ(batcher.NextBatch().size(), 1u);
+  EXPECT_TRUE(batcher.TryPush(FakeItem{-1}));
+  EXPECT_FALSE(batcher.TryPush(FakeItem{-1}));
+  EXPECT_EQ(batcher.depth(), 4u);
+}
+
+TEST(BatcherTest, ConcurrentProducersAndWorkersHandOutEachItemOnce) {
+  struct IdItem {
+    int id = 0;
+    int key = 0;
+  };
+  constexpr size_t kCapacity = 32;
+  constexpr int kBatchMax = 4;
+  constexpr int kProducers = 4;
+  constexpr int kWorkers = 3;
+  constexpr int kPerProducer = 2000;
+  Batcher<IdItem> queue(
+      {.capacity = kCapacity, .batch_max = kBatchMax, .window_us = 50.0},
+      [](const IdItem& item) { return item.key; },
+      [](const IdItem&) { return std::numeric_limits<double>::infinity(); },
+      [] { return 0.0; });
+  std::atomic<size_t> max_depth{0};
+  const auto note_depth = [&] {
+    const size_t depth = queue.depth();
+    size_t seen = max_depth.load();
+    while (depth > seen && !max_depth.compare_exchange_weak(seen, depth)) {
+    }
+  };
+
+  std::vector<std::vector<int>> admitted(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const int id = p * kPerProducer + i;
+        // Keys -1..3: unbatchable singles and four batchable groups.
+        if (queue.TryPush(IdItem{id, id % 5 - 1})) {
+          admitted[static_cast<size_t>(p)].push_back(id);
+        } else {
+          std::this_thread::yield();
+        }
+        note_depth();
+      }
+    });
+  }
+  std::vector<std::vector<int>> taken(kWorkers);
+  std::atomic<int> bad_batches{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      for (;;) {
+        std::vector<IdItem> batch = queue.NextBatch();
+        if (batch.empty()) return;  // Closed and drained.
+        note_depth();
+        const int key = batch.front().key;
+        bool ok = static_cast<int>(batch.size()) <= kBatchMax &&
+                  (key >= 0 || batch.size() == 1);
+        for (const IdItem& item : batch) {
+          ok = ok && item.key == key;
+          taken[static_cast<size_t>(w)].push_back(item.id);
+        }
+        if (!ok) bad_batches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  queue.Close();
+  for (std::thread& worker : workers) worker.join();
+
+  std::vector<int> all_admitted, all_taken;
+  for (const std::vector<int>& ids : admitted) {
+    all_admitted.insert(all_admitted.end(), ids.begin(), ids.end());
+  }
+  for (const std::vector<int>& ids : taken) {
+    all_taken.insert(all_taken.end(), ids.begin(), ids.end());
+  }
+  std::sort(all_admitted.begin(), all_admitted.end());
+  std::sort(all_taken.begin(), all_taken.end());
+  EXPECT_FALSE(all_admitted.empty());
+  // Admitted ids are unique, so equal sorted lists mean every admitted
+  // item was handed out exactly once.
+  EXPECT_EQ(all_taken, all_admitted);
+  EXPECT_EQ(bad_batches.load(), 0) << "a batch mixed keys, exceeded "
+                                      "batch_max or grouped a negative key";
+  EXPECT_LE(max_depth.load(), kCapacity);
+  EXPECT_EQ(queue.depth(), 0u);
 }
 
 // --- Server-level batching --------------------------------------------------

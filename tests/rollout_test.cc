@@ -122,6 +122,20 @@ class RolloutTest : public ::testing::Test {
     return options;
   }
 
+  /// Fails a promotion loop as soon as the candidate is rolled back,
+  /// naming the gate's reason, instead of letting it spin to its deadline.
+  static ::testing::AssertionResult NotQuarantined(InferenceServer& server,
+                                                   uint64_t version) {
+    if (!server.registry()->IsQuarantined(version)) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "version " << version << " quarantined: "
+           << server.registry()->Quarantined().at(version)
+           << " (rollout state " << RolloutStateName(server.rollout_state())
+           << ")";
+  }
+
   static data::CityDataset* dataset_;
   static core::BigCityConfig model_config_;
   static core::BigCityModel* prototype_;
@@ -431,6 +445,7 @@ TEST_F(RolloutTest, HotSwapPromotesHealthyVersion) {
   while (server.stable_version() != 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "rollout did not complete";
+    ASSERT_TRUE(NotQuarantined(server, 1));
     Response response = server.ServeSync(request);
     ASSERT_TRUE(response.status.ok()) << response.status.message();
   }
@@ -648,6 +663,7 @@ TEST_F(RolloutTest, SlowStagedLoadDoesNotBlockServing) {
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (server.stable_version() != 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    ASSERT_TRUE(NotQuarantined(server, 1));
     ASSERT_TRUE(server.ServeSync(request).status.ok());
   }
   server.Stop();

@@ -15,8 +15,8 @@
 #include "data/dataset.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/admission_queue.h"
 #include "serve/baseline.h"
+#include "serve/batcher.h"
 #include "serve/circuit_breaker.h"
 #include "serve/server.h"
 #include "util/fault_injection.h"
@@ -112,10 +112,14 @@ data::CityDataset* ServeTest::dataset_ = nullptr;
 core::BigCityConfig ServeTest::model_config_;
 core::BigCityModel* ServeTest::prototype_ = nullptr;
 
-// --- Admission queue / circuit breaker units --------------------------------
+// --- Queue / circuit breaker units ------------------------------------------
 
-TEST(AdmissionQueueTest, ShedsWhenFullAndDrainsOnClose) {
-  AdmissionQueue<int> queue(2);
+TEST(QueueTest, ShedsWhenFullAndDrainsOnClose) {
+  // Negative keys never batch: items come out one at a time, in order.
+  Batcher<int> queue(
+      {.capacity = 2}, [](const int&) { return -1; },
+      [](const int&) { return std::numeric_limits<double>::infinity(); },
+      [] { return 0.0; });
   EXPECT_TRUE(queue.TryPush(1));
   EXPECT_TRUE(queue.TryPush(2));
   EXPECT_FALSE(queue.TryPush(3));  // Full: shed.
@@ -123,9 +127,9 @@ TEST(AdmissionQueueTest, ShedsWhenFullAndDrainsOnClose) {
   queue.Close();
   EXPECT_FALSE(queue.TryPush(4));  // Closed: shed.
   // Items queued before Close() still drain.
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_FALSE(queue.Pop().has_value());  // Closed + drained.
+  EXPECT_EQ(queue.NextBatch(), std::vector<int>{1});
+  EXPECT_EQ(queue.NextBatch(), std::vector<int>{2});
+  EXPECT_TRUE(queue.NextBatch().empty());  // Closed + drained.
 }
 
 TEST(CircuitBreakerTest, OpensAfterThresholdAndProbesAfterCooldown) {

@@ -79,23 +79,40 @@ TEST(ThreadPoolTest, ShutdownUnderLoadJoinsCleanly) {
   for (int cycle = 0; cycle < 10; ++cycle) {
     std::atomic<bool> stop{false};
     std::atomic<int64_t> sum{0};
+    std::atomic<int> progressed{0};  // Submitters past one ParallelFor.
+    bool all_progressed = false;
     {
       ThreadPool pool(3);
       std::vector<std::thread> submitters;
       for (int s = 0; s < 3; ++s) {
         submitters.emplace_back([&] {
+          bool counted = false;
           while (!stop.load()) {
             pool.ParallelFor(0, 256, 32, [&](int64_t begin, int64_t end) {
               sum.fetch_add(end - begin, std::memory_order_relaxed);
             });
+            if (!counted) {
+              counted = true;
+              progressed.fetch_add(1);
+            }
           }
         });
       }
+      // At least 5 ms of load, then wait for progress: under CPU
+      // contention a submitter may not get scheduled within that window.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (progressed.load() < 3 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      all_progressed = progressed.load() == 3;
       stop.store(true);
       for (auto& submitter : submitters) submitter.join();
       // Pool destructor runs here with no job in flight but workers live.
     }
+    EXPECT_TRUE(all_progressed) << "a submitter finished no ParallelFor in 10s";
     EXPECT_GT(sum.load(), 0);
   }
 }

@@ -10,13 +10,14 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/bigcity_model.h"
 #include "data/dataset.h"
 #include "obs/metrics.h"
-#include "serve/admission_queue.h"
+#include "serve/batcher.h"
 #include "serve/overload.h"
 #include "serve/server.h"
 #include "util/fault_injection.h"
@@ -422,10 +423,13 @@ TEST_F(WatchdogTest, SojournBoundDropsStaleRequestsWithDefiniteStatus) {
   server.Stop();
 }
 
-// --- Admission queue effective capacity --------------------------------------
+// --- Queue effective capacity ------------------------------------------------
 
-TEST(AdmissionQueueOverloadTest, EffectiveCapacityTightensAndRestores) {
-  AdmissionQueue<int> queue(4);
+TEST(QueueOverloadTest, EffectiveCapacityTightensAndRestores) {
+  Batcher<int> queue(
+      {.capacity = 4}, [](const int&) { return -1; },
+      [](const int&) { return std::numeric_limits<double>::infinity(); },
+      [] { return 0.0; });
   queue.SetEffectiveCapacity(2);
   EXPECT_TRUE(queue.TryPush(1));
   EXPECT_TRUE(queue.TryPush(2));

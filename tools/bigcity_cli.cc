@@ -83,7 +83,7 @@ struct CliOptions {
   int queue_capacity = 16;
   double deadline_ms = 0;     // <= 0: no per-request deadline.
   // Continuous batching (DESIGN.md §4.14).
-  bool batching = true;       // --no-batching: batch_max 1, no caches.
+  bool batching = true;       // --no-batching: batch_max 1, no KV sessions.
   int batch_max = 8;          // Coalesce at most this many requests.
   double batch_window_us = 200.0;  // Max wait for batch-mates.
   // Model lifecycle (DESIGN.md §4.12).
@@ -127,7 +127,8 @@ void PrintUsage() {
       "  --requests PATH   serve: trajectory CSV (see generate) to replay\n"
       "  --task NAME       serve: next|tte|class|embed (default next)\n"
       "  --workers N       serve: worker threads (default 2)\n"
-      "  --queue N         serve: admission queue capacity (default 16)\n"
+      "  --queue N         serve: bound on requests waiting for a worker\n"
+      "                    (default 16)\n"
       "  --deadline-ms F   serve: per-request deadline; 0 = none\n"
       "  --batch-max N     serve: coalesce up to N same-task requests per\n"
       "                    forward (default 8); outputs are bit-identical\n"
