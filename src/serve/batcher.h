@@ -88,17 +88,13 @@ class Batcher {
   /// Blocks for the next batch; an empty result means the queue is closed
   /// and every admitted item has been handed out (worker shutdown).
   std::vector<T> NextBatch() {
-    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      // The margin may sort the forward-latency window: compute it outside
-      // the lock producers share, after this look has ended the queue
-      // wait of what it found.
-      StampUnseenLocked(Clock::now());
-      lock.unlock();
+      // The margin may sort the forward-latency window: compute it before
+      // taking the lock producers share.
       const double margin_us = margin_us_fn_();
       const int batch_max =
           std::max(1, batch_max_fn_ ? batch_max_fn_() : options_.batch_max);
-      lock.lock();
+      std::unique_lock<std::mutex> lock(mu_);
       const Clock::time_point now = Clock::now();
       StampUnseenLocked(now);
       std::vector<T> batch = ExtractLocked(now, margin_us, batch_max);
