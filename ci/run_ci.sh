@@ -8,8 +8,8 @@
 # Jobs:
 #   release  Release build, full ctest (includes the bench_gate perf smoke
 #            with its kernel/train/serve gates), the batch, core, serve,
-#            plan, watchdog and packed-weight suites again on the naive GEMM
-#            oracle (BIGCITY_GEMM=naive), format_check, a 2-epoch
+#            plan, watchdog, packed-weight and attention suites again on the
+#            naive GEMM oracle (BIGCITY_GEMM=naive), format_check, a 2-epoch
 #            bigcity_cli train smoke on --threads 2 that validates the
 #            trace / run-report / metrics outputs, a high-concurrency serve
 #            smoke (bench_serve --fast + bigcity_cli serve) that validates
@@ -182,7 +182,7 @@ run_release() {
   log "release: parity suites on the naive GEMM oracle (BIGCITY_GEMM=naive)"
   BIGCITY_GEMM=naive ctest --test-dir build-ci-release --output-on-failure \
     -j"$PAR" \
-    -R '^(batch_test|core_test|serve_test|plan_test|watchdog_test|packed_weight_test)$'
+    -R '^(batch_test|core_test|serve_test|plan_test|watchdog_test|packed_weight_test|attention_test)$'
   log "release: format check"
   cmake --build build-ci-release --target format_check
   log "release: CLI train smoke (--threads 2, obs outputs)"

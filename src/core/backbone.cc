@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/task.h"
-#include "nn/arena.h"
 #include "nn/kernels/fused.h"
 #include "nn/ops.h"
 #include "obs/obs.h"
@@ -17,7 +16,7 @@ using nn::Tensor;
 
 /// Per-layer keys/values of one instruction's rows, with what they were
 /// computed from. Immutable once filled; caches seeded from it share its
-/// tensors by handle.
+/// storage by handle and copy it on their first append.
 struct Backbone::InstructionKv {
   std::vector<int> text_ids;
   std::vector<nn::AttentionKv> layers;
@@ -223,10 +222,9 @@ nn::KvCache* Backbone::SeedInstructionKv(const PromptInput& prompt,
 
 std::shared_ptr<const Backbone::InstructionKv> Backbone::FillInstructionKv(
     const std::vector<int>& text_ids) const {
-  // Graph-free and heap-held: the entry outlives the request or plan step
-  // that fills it (DESIGN.md §4.13).
+  // Graph-free, and its K/V rows live on the heap (nn::AttentionKv), so
+  // the entry outlives the request or plan step that fills it.
   nn::NoGradGuard no_grad;
-  nn::ArenaPin pin;
   auto entry = std::make_shared<InstructionKv>();
   entry->text_ids = text_ids;
   entry->registrations = nn::Module::RegistrationCount();

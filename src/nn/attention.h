@@ -4,26 +4,11 @@
 #include <memory>
 #include <vector>
 
+#include "nn/kernels/fused.h"
 #include "nn/lora.h"
 #include "nn/module.h"
 
 namespace bigcity::nn {
-
-/// Cached projected keys/values of one attention layer (all heads packed in
-/// columns), covering the first `length()` positions of a causal sequence.
-/// Used for incremental decoding: a forward over just the suffix rows reuses
-/// the cached prefix state and is bit-identical to a fresh full forward.
-struct AttentionKv {
-  Tensor k;  // [P, dim]
-  Tensor v;  // [P, dim]
-
-  int64_t length() const { return k.is_valid() ? k.shape()[0] : 0; }
-  /// Drops cached positions >= rows (no-op when already shorter).
-  void Truncate(int64_t rows);
-  /// Re-copies the cached tensors in the current allocation scope; call
-  /// under an ArenaPin to let the cache outlive a plan/arena step.
-  void DetachToHeap();
-};
 
 /// Multi-head (optionally causal) self-attention over a single sequence
 /// x [L, D]. Q/K/V/output projections are LoraLinear so the BIGCity
@@ -41,14 +26,15 @@ class MultiHeadSelfAttention : public Module {
   /// x [sum(lens), D] stacks the sequences back to back, and `residual`
   /// (when valid) is fused into the output projection (the transformer
   /// block's pre-norm skip connection). All projections run on the tall
-  /// matrix (one GEMM instead of lens.size()); the attention core runs per
-  /// sequence on its row span, so every output row is bit-identical to a
-  /// forward over that sequence alone. When `kv` is non-empty (one entry
-  /// per sequence, entries may be null) each non-null EMPTY entry receives
-  /// that sequence's projected keys/values (a prefill). A non-null entry
-  /// that already holds state is a prefix: that sequence's rows in x are
-  /// its suffix, attended with the causal offset (a decode), and the entry
-  /// is extended in place. Either way later decodes stay bit-identical.
+  /// matrix (one GEMM instead of lens.size()); one MultiHeadAttention node
+  /// attends each sequence on its row span, so every output row is
+  /// bit-identical to a forward over that sequence alone. When `kv` is
+  /// non-empty (one entry per sequence, entries may be null) each non-null
+  /// EMPTY entry receives that sequence's projected keys/values (a
+  /// prefill). A non-null entry that already holds state is a prefix: that
+  /// sequence's rows in x are its suffix, attended with the causal offset
+  /// (a decode), and their keys/values are appended to the entry. Either
+  /// way later decodes stay bit-identical.
   Tensor ForwardBatched(const Tensor& x, const Tensor& residual,
                         const std::vector<int64_t>& lens,
                         const std::vector<AttentionKv*>& kv = {}) const;
@@ -65,7 +51,6 @@ class MultiHeadSelfAttention : public Module {
  private:
   int64_t dim_;
   int64_t num_heads_;
-  int64_t head_dim_;
   bool causal_;
   std::unique_ptr<LoraLinear> wq_;
   std::unique_ptr<LoraLinear> wk_;

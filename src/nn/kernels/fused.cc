@@ -1,7 +1,10 @@
 #include "nn/kernels/fused.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "nn/kernels/kernels.h"
@@ -180,6 +183,48 @@ Tensor BiasActImpl(const char* name, const Tensor& x, const Tensor& b,
       });
 }
 
+/// One row of the scaled (offset-)causal softmax: out[j] = softmax(scale ·
+/// row)[j] for j < limit and 0 for limit <= j < d. out may alias row.
+/// ScaledMaskedSoftmax and MultiHeadAttention both call it, so they give
+/// the same bits.
+void SoftmaxRow(const float* row, float* out, int64_t limit, int64_t d,
+                float scale) {
+  float mx = scale * row[0];
+  for (int64_t j = 1; j < limit; ++j) mx = std::max(mx, scale * row[j]);
+  for (int64_t j = 0; j < limit; ++j) out[j] = scale * row[j] - mx;
+  kernels::Exp(out, out, limit);
+  float sum = 0.0f;
+  for (int64_t j = 0; j < limit; ++j) sum += out[j];
+  const float inv = 1.0f / sum;
+  for (int64_t j = 0; j < limit; ++j) out[j] *= inv;
+  for (int64_t j = limit; j < d; ++j) out[j] = 0.0f;
+}
+
+/// The backward of SoftmaxRow: grad[j] += scale · y[j] · (g[j] − y·g) for
+/// j < limit, given its output y and the output gradient g.
+void SoftmaxRowBackward(const float* y, const float* g, float* grad,
+                        int64_t limit, float scale) {
+  float dot = 0.0f;
+  for (int64_t j = 0; j < limit; ++j) dot += y[j] * g[j];
+  for (int64_t j = 0; j < limit; ++j) grad[j] += scale * y[j] * (g[j] - dot);
+}
+
+/// Where MultiHeadAttention finds one sequence: its rows [off, off + len)
+/// of q/k/v and of the output, the cached positions before them, and the
+/// prefix + len keys and values it attends over (rows dim apart).
+struct AttentionSeq {
+  int64_t off, len, prefix;
+  const float* keys;
+  const float* values;
+};
+
+/// t.grad += d when t needs a gradient.
+void AddGrad(TensorImpl& t, const FloatVec& d) {
+  if (!t.needs_grad) return;
+  t.EnsureGrad();
+  for (size_t i = 0; i < d.size(); ++i) t.grad[i] += d[i];
+}
+
 }  // namespace
 
 Tensor Affine(const Tensor& x, const Tensor& w, const Tensor& bias) {
@@ -220,18 +265,8 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
   const auto& sd = scores.data();
   FloatVec out(sd.size());
   for (int64_t i = 0; i < n; ++i) {
-    const float* row = sd.data() + i * d;
-    float* out_row = out.data() + i * d;
-    const int64_t limit = causal ? row_offset + i + 1 : d;
-    float mx = scale * row[0];
-    for (int64_t j = 1; j < limit; ++j) mx = std::max(mx, scale * row[j]);
-    for (int64_t j = 0; j < limit; ++j) out_row[j] = scale * row[j] - mx;
-    kernels::Exp(out_row, out_row, limit);
-    float sum = 0.0f;
-    for (int64_t j = 0; j < limit; ++j) sum += out_row[j];
-    const float inv = 1.0f / sum;
-    for (int64_t j = 0; j < limit; ++j) out_row[j] *= inv;
-    for (int64_t j = limit; j < d; ++j) out_row[j] = 0.0f;
+    SoftmaxRow(sd.data() + i * d, out.data() + i * d,
+               causal ? row_offset + i + 1 : d, d, scale);
   }
   auto si = scores.impl();
   return MakeOpResult(
@@ -240,15 +275,10 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
         if (!si->needs_grad) return;
         si->EnsureGrad();
         for (int64_t i = 0; i < n; ++i) {
-          const float* yr = self.data.data() + i * d;
-          const float* gr = self.grad.data() + i * d;
-          const int64_t limit = causal ? row_offset + i + 1 : d;
-          float dot = 0.0f;
-          for (int64_t j = 0; j < limit; ++j) dot += yr[j] * gr[j];
-          float* sr = si->grad.data() + i * d;
-          for (int64_t j = 0; j < limit; ++j) {
-            sr[j] += scale * yr[j] * (gr[j] - dot);
-          }
+          SoftmaxRowBackward(self.data.data() + i * d,
+                             self.grad.data() + i * d,
+                             si->grad.data() + i * d,
+                             causal ? row_offset + i + 1 : d, scale);
         }
       });
 }
@@ -275,6 +305,238 @@ void GemmABOperand(const float* a, const Tensor& b, float* out, int64_t n,
     return;
   }
   kernels::GemmAB(a, bd, out, n, k, m, accumulate);
+}
+
+struct AttentionKv::Storage {
+  Storage(int64_t capacity, int64_t dim)
+      : capacity(capacity),
+        dim(dim),
+        keys(static_cast<size_t>(capacity * dim), 0.0f,
+             ArenaAllocator<float>(nullptr)),
+        values(static_cast<size_t>(capacity * dim), 0.0f,
+               ArenaAllocator<float>(nullptr)) {}
+
+  const int64_t capacity;  // Rows.
+  const int64_t dim;
+  FloatVec keys;  // [capacity, dim] on the heap, whatever arena is active.
+  FloatVec values;
+  /// Set when a second handle is made, never cleared.
+  std::atomic<bool> shared{false};
+};
+
+AttentionKv::AttentionKv(const AttentionKv& other)
+    : storage_(other.storage_), rows_(other.rows_) {
+  if (storage_ != nullptr) {
+    storage_->shared.store(true, std::memory_order_relaxed);
+  }
+}
+
+AttentionKv& AttentionKv::operator=(const AttentionKv& other) {
+  if (this != &other) *this = AttentionKv(other);
+  return *this;
+}
+
+AttentionKv::AttentionKv(AttentionKv&& other) noexcept
+    : storage_(std::move(other.storage_)),
+      rows_(std::exchange(other.rows_, 0)) {}
+
+AttentionKv& AttentionKv::operator=(AttentionKv&& other) noexcept {
+  storage_ = std::move(other.storage_);
+  rows_ = std::exchange(other.rows_, 0);
+  return *this;
+}
+
+void AttentionKv::Truncate(int64_t rows) {
+  BIGCITY_CHECK_GE(rows, 0);
+  rows_ = std::min(rows_, rows);
+}
+
+void AttentionKv::Append(const float* keys, const float* values,
+                         int64_t rows, int64_t dim) {
+  BIGCITY_CHECK(rows > 0 && dim > 0);
+  if (storage_ != nullptr) BIGCITY_CHECK_EQ(storage_->dim, dim);
+  const int64_t need = rows_ + rows;
+  if (storage_ == nullptr ||
+      storage_->shared.load(std::memory_order_relaxed) ||
+      need > storage_->capacity) {
+    // A fresh cache gets exactly its rows, a growing one half again as
+    // many: a decode adding a row or two per call copies its prefix only
+    // every few calls.
+    auto grown = std::make_shared<Storage>(
+        rows_ == 0 ? need : need + need / 2, dim);
+    const auto live = static_cast<size_t>(rows_ * dim);
+    if (live > 0) {
+      std::memcpy(grown->keys.data(), storage_->keys.data(),
+                  live * sizeof(float));
+      std::memcpy(grown->values.data(), storage_->values.data(),
+                  live * sizeof(float));
+    }
+    storage_ = std::move(grown);
+  }
+  const auto at = static_cast<size_t>(rows_ * dim);
+  const auto bytes = static_cast<size_t>(rows * dim) * sizeof(float);
+  std::memcpy(storage_->keys.data() + at, keys, bytes);
+  std::memcpy(storage_->values.data() + at, values, bytes);
+  rows_ = need;
+}
+
+const float* AttentionKv::keys() const {
+  return rows_ > 0 ? storage_->keys.data() : nullptr;
+}
+
+const float* AttentionKv::values() const {
+  return rows_ > 0 ? storage_->values.data() : nullptr;
+}
+
+Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          const std::vector<int64_t>& lens, int64_t num_heads,
+                          bool causal, const std::vector<AttentionKv*>& kv) {
+  BIGCITY_CHECK_EQ(q.shape().size(), 2u);
+  BIGCITY_CHECK(k.shape() == q.shape() && v.shape() == q.shape())
+      << "attention q, k and v must share one shape";
+  const int64_t total = q.shape()[0], dim = q.shape()[1];
+  BIGCITY_CHECK(num_heads > 0 && dim % num_heads == 0)
+      << "dim must be divisible by num_heads";
+  if (!kv.empty()) BIGCITY_CHECK_EQ(kv.size(), lens.size());
+  const int64_t head_dim = dim / num_heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  BIGCITY_PROFILE_OP("MultiHeadAttention");
+  auto qi = q.impl();
+  auto ki = k.impl();
+  auto vi = v.impl();
+  const bool grad =
+      GradEnabled() && (qi->needs_grad || ki->needs_grad || vi->needs_grad);
+
+  // A sequence with a cache appends its rows to it and attends over all of
+  // the cache's rows; the others attend over their own rows of k and v.
+  std::vector<AttentionSeq> seqs;
+  seqs.reserve(lens.size());
+  int64_t off = 0, score_size = 0, max_scores = 0;
+  for (size_t s = 0; s < lens.size(); ++s) {
+    const int64_t len = lens[s];
+    BIGCITY_CHECK(len > 0 && off + len <= total)
+        << "attention lens must tile the rows of q";
+    AttentionSeq seq{off, len, 0, k.data().data() + off * dim,
+                     v.data().data() + off * dim};
+    AttentionKv* cache = kv.empty() ? nullptr : kv[s];
+    if (cache != nullptr) {
+      seq.prefix = cache->length();
+      BIGCITY_CHECK(causal || seq.prefix == 0)
+          << "KV-cached decode requires causal attention";
+      cache->Append(seq.keys, seq.values, len, dim);
+      seq.keys = cache->keys();
+      seq.values = cache->values();
+    }
+    const int64_t scores = len * (seq.prefix + len);
+    score_size += scores;
+    max_scores = std::max(max_scores, scores);
+    seqs.push_back(seq);
+    off += len;
+  }
+  BIGCITY_CHECK_EQ(off, total) << "attention lens must tile the rows of q";
+  BIGCITY_PROFILE_OP_COST(U64(score_size * (4 * dim + 6 * num_heads)),
+                          U64(4 * total * dim + score_size * num_heads) * 4);
+  BIGCITY_PROFILE_OP_BWD_COST(
+      U64(score_size * (8 * dim + 5 * num_heads)),
+      U64(8 * total * dim + 3 * score_size * num_heads) * 4);
+
+  // Per (sequence, head): scores = q_h·k_hᵀ, the row softmax in place, then
+  // probabilities · v_h into the head's output columns. The probabilities
+  // are kept for the backward when it will run, else one scratch is reused.
+  FloatVec probs(static_cast<size_t>(grad ? score_size * num_heads
+                                          : max_scores));
+  FloatVec out(static_cast<size_t>(total * dim));
+  const float* qd = q.data().data();
+  int64_t at = 0;
+  for (const AttentionSeq& seq : seqs) {
+    const int64_t width = seq.prefix + seq.len;
+    for (int64_t h = 0; h < num_heads; ++h) {
+      const int64_t col = h * head_dim;
+      float* p = probs.data() + (grad ? at : 0);
+      // B element (c, j) of k_hᵀ is key j's column c.
+      kernels::GemmStrided(qd + seq.off * dim + col, dim, 1, seq.keys + col,
+                           1, dim, p, width, seq.len, head_dim, width,
+                           /*accumulate=*/false);
+      for (int64_t i = 0; i < seq.len; ++i) {
+        SoftmaxRow(p + i * width, p + i * width,
+                   causal ? seq.prefix + i + 1 : width, width, scale);
+      }
+      kernels::GemmStrided(p, width, 1, seq.values + col, dim, 1,
+                           out.data() + seq.off * dim + col, dim, seq.len,
+                           width, head_dim, /*accumulate=*/false);
+      at += seq.len * width;
+    }
+  }
+  if (!grad) return MakeOpResult({total, dim}, std::move(out), {}, nullptr);
+
+  // The backward reads the caches' rows as they are now; its copies mark
+  // their storage shared, so a later append moves to storage of its own.
+  std::vector<AttentionKv> held;
+  for (AttentionKv* cache : kv) {
+    if (cache != nullptr) held.push_back(*cache);
+  }
+  return MakeOpResult(
+      {total, dim}, std::move(out), {qi, ki, vi},
+      [qi, ki, vi, seqs = std::move(seqs), held = std::move(held),
+       probs = std::move(probs), total, dim, num_heads, head_dim, max_scores,
+       scale, causal](TensorImpl& self) {
+        const bool score_grad = qi->needs_grad || ki->needs_grad;
+        const float* g = self.grad.data();
+        const float* qd = qi->data.data();
+        const auto size = static_cast<size_t>(total * dim);
+        FloatVec dq(qi->needs_grad ? size : 0);
+        FloatVec dk(ki->needs_grad ? size : 0);
+        FloatVec dv(vi->needs_grad ? size : 0);
+        FloatVec dp(static_cast<size_t>(score_grad ? max_scores : 0));
+        FloatVec ds(dp.size());
+        int64_t at = 0;
+        for (const AttentionSeq& seq : seqs) {
+          const int64_t width = seq.prefix + seq.len;
+          for (int64_t h = 0; h < num_heads; ++h) {
+            // The head's column block of the sequence's rows.
+            const int64_t block = seq.off * dim + h * head_dim;
+            const float* p = probs.data() + at;
+            at += seq.len * width;
+            if (vi->needs_grad) {
+              // dv_h of the sequence's own keys: pᵀ · dout_h, skipping the
+              // cached prefix's columns of p.
+              kernels::GemmStrided(p + seq.prefix, 1, width, g + block, dim, 1,
+                                   dv.data() + block, dim, seq.len, seq.len,
+                                   head_dim, /*accumulate=*/false);
+            }
+            if (!score_grad) continue;
+            // dp = dout_h · v_hᵀ, then the softmax backward into zeroed ds
+            // (masked entries stay 0).
+            kernels::GemmStrided(g + block, dim, 1,
+                                 seq.values + h * head_dim, 1, dim,
+                                 dp.data(), width, seq.len, head_dim, width,
+                                 /*accumulate=*/false);
+            std::fill_n(ds.data(), seq.len * width, 0.0f);
+            for (int64_t i = 0; i < seq.len; ++i) {
+              SoftmaxRowBackward(p + i * width, dp.data() + i * width,
+                                 ds.data() + i * width,
+                                 causal ? seq.prefix + i + 1 : width, scale);
+            }
+            if (qi->needs_grad) {
+              kernels::GemmStrided(ds.data(), width, 1,
+                                   seq.keys + h * head_dim, dim, 1,
+                                   dq.data() + block, dim, seq.len, width,
+                                   head_dim, /*accumulate=*/false);
+            }
+            if (ki->needs_grad) {
+              kernels::GemmStrided(ds.data() + seq.prefix, 1, width,
+                                   qd + block, dim, 1, dk.data() + block, dim,
+                                   seq.len, seq.len, head_dim,
+                                   /*accumulate=*/false);
+            }
+          }
+        }
+        // Every element above is one +0-seeded sum, never −0, so adding it
+        // gives what the per-head graph's slice and concat backwards add.
+        AddGrad(*qi, dq);
+        AddGrad(*ki, dk);
+        AddGrad(*vi, dv);
+      });
 }
 
 Tensor MatMulNT(const Tensor& a, const Tensor& b) {

@@ -1,9 +1,47 @@
 #ifndef BIGCITY_NN_KERNELS_FUSED_H_
 #define BIGCITY_NN_KERNELS_FUSED_H_
 
+#include <memory>
+#include <vector>
+
 #include "nn/tensor.h"
 
 namespace bigcity::nn {
+
+/// Cached projected keys/values of one attention layer (all heads packed in
+/// columns), covering the first `length()` positions of a causal sequence.
+/// Used for incremental decoding: a forward over just the suffix rows reuses
+/// the cached prefix state and is bit-identical to a fresh full forward.
+///
+/// The rows live in heap storage whatever arena is active, so a cache
+/// outlives the plan step that extends it. Copies share the storage by
+/// handle and mark it shared; a shared or full storage is copied (live rows
+/// only, with headroom) by the next Append, so an append never writes rows
+/// another handle reads.
+class AttentionKv {
+ public:
+  AttentionKv() = default;
+  AttentionKv(const AttentionKv& other);
+  AttentionKv& operator=(const AttentionKv& other);
+  AttentionKv(AttentionKv&& other) noexcept;
+  AttentionKv& operator=(AttentionKv&& other) noexcept;
+
+  int64_t length() const { return rows_; }
+  /// Drops cached positions >= rows (no-op when already shorter). O(1): the
+  /// storage keeps the rows until an append overwrites them.
+  void Truncate(int64_t rows);
+  /// Appends `rows` rows of `dim` floats to the keys and the values.
+  void Append(const float* keys, const float* values, int64_t rows,
+              int64_t dim);
+  /// Row-major [length(), dim] keys and values (null while empty).
+  const float* keys() const;
+  const float* values() const;
+
+ private:
+  struct Storage;
+  std::shared_ptr<Storage> storage_;
+  int64_t rows_ = 0;
+};
 
 // Fused autograd ops over the kernel layer. Each call builds ONE graph node
 // where the unfused formulation builds two or three, materializes no
@@ -46,8 +84,32 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal);
 Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
                            int64_t row_offset);
 
+/// Multi-head scaled dot-product attention over row-concatenated sequences
+/// in one node. q, k, v are [sum(lens), D] with each head's columns side by
+/// side (D = num_heads · head_dim); sequence s owns rows [off_s, off_s +
+/// lens[s]). Each (sequence, head) computes softmax(q·kᵀ / √head_dim) with
+/// the (offset-)causal mask of ScaledMaskedSoftmax, times v, reading q/k/v
+/// in place through strided GEMMs and writing its columns of the [sum(lens),
+/// D] result; nothing is sliced, copied per head or concatenated.
+///
+/// `kv` (empty, or one entry per sequence, entries may be null): a non-null
+/// entry receives its sequence's k/v rows by AttentionKv::Append, and the
+/// sequence attends over all of the entry's rows, so a non-empty entry
+/// makes its rows a decode at causal offset length() (causal only).
+///
+/// Outputs, cache contents and q/k/v gradients are bit-identical to the
+/// per-head graph (SliceCols, MatMulNT, ScaledMaskedSoftmax, MatMul,
+/// Concat): the same products in the same order (DESIGN.md §4.8). A cached
+/// prefix is a constant: its rows get no gradient, and a node that will
+/// backpropagate keeps a copy of each cache it read (AttentionKv copies
+/// share storage), so later appends do not overwrite what it reads.
+Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          const std::vector<int64_t>& lens, int64_t num_heads,
+                          bool causal,
+                          const std::vector<AttentionKv*>& kv = {});
+
 /// a[N,K] · b[M,K]^T -> [N,M] without materializing the transpose
-/// (attention q·k^T and tied-embedding logit projections).
+/// (learned-query attention scores and tied-embedding logit projections).
 Tensor MatMulNT(const Tensor& a, const Tensor& b);
 
 /// out[n,M] (+)= a[n,K] · b[K,M] through kernels::GemmAB: the forward

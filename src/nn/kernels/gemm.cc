@@ -223,23 +223,29 @@ inline void MicroKernel(const float* pa, const float* pb, float* c,
 // row exactly once, in order, and axpy it into every (L1-resident) output
 // row. Each C element still accumulates in ascending p order with separate
 // mul-then-add, so results are bit-identical to the blocked and naive
-// backends. Requires unit B column stride and contiguous row-major C.
+// backends. Requires unit B column stride; C rows are ldc apart.
 
 using RankOneFn = void (*)(const float* a, int64_t a_rs, int64_t a_cs,
-                           const float* b, int64_t b_rs, float* c, int64_t n,
-                           int64_t k, int64_t m, bool accumulate);
+                           const float* b, int64_t b_rs, float* c,
+                           int64_t ldc, int64_t n, int64_t k, int64_t m,
+                           bool accumulate);
+
+/// Write mode's zero seed for n rows of m floats, ldc apart.
+void ZeroRows(float* c, int64_t ldc, int64_t n, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    std::memset(c + i * ldc, 0, static_cast<size_t>(m) * sizeof(float));
+  }
+}
 
 void RankOneScalar(const float* a, int64_t a_rs, int64_t a_cs,
-                   const float* b, int64_t b_rs, float* c, int64_t n,
-                   int64_t k, int64_t m, bool accumulate) {
-  if (!accumulate) {
-    std::memset(c, 0, static_cast<size_t>(n) * m * sizeof(float));
-  }
+                   const float* b, int64_t b_rs, float* c, int64_t ldc,
+                   int64_t n, int64_t k, int64_t m, bool accumulate) {
+  if (!accumulate) ZeroRows(c, ldc, n, m);
   for (int64_t p = 0; p < k; ++p) {
     const float* b_row = b + p * b_rs;
     for (int64_t i = 0; i < n; ++i) {
       const float av = a[i * a_rs + p * a_cs];
-      float* c_row = c + i * m;
+      float* c_row = c + i * ldc;
       for (int64_t j = 0; j < m; ++j) c_row[j] += av * b_row[j];
     }
   }
@@ -249,17 +255,15 @@ void RankOneScalar(const float* a, int64_t a_rs, int64_t a_cs,
 
 __attribute__((target("avx512f"))) void RankOneAvx512(
     const float* a, int64_t a_rs, int64_t a_cs, const float* b, int64_t b_rs,
-    float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
-  if (!accumulate) {
-    std::memset(c, 0, static_cast<size_t>(n) * m * sizeof(float));
-  }
+    float* c, int64_t ldc, int64_t n, int64_t k, int64_t m, bool accumulate) {
+  if (!accumulate) ZeroRows(c, ldc, n, m);
   const int64_t mv = m / 16 * 16;
   for (int64_t p = 0; p < k; ++p) {
     const float* b_row = b + p * b_rs;
     for (int64_t i = 0; i < n; ++i) {
       const float av_s = a[i * a_rs + p * a_cs];
       const __m512 av = _mm512_set1_ps(av_s);
-      float* c_row = c + i * m;
+      float* c_row = c + i * ldc;
       int64_t j = 0;
       for (; j < mv; j += 16) {
         const __m512 prod = _mm512_mul_ps(av, _mm512_loadu_ps(b_row + j));
@@ -273,17 +277,15 @@ __attribute__((target("avx512f"))) void RankOneAvx512(
 
 __attribute__((target("avx2"))) void RankOneAvx2(
     const float* a, int64_t a_rs, int64_t a_cs, const float* b, int64_t b_rs,
-    float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
-  if (!accumulate) {
-    std::memset(c, 0, static_cast<size_t>(n) * m * sizeof(float));
-  }
+    float* c, int64_t ldc, int64_t n, int64_t k, int64_t m, bool accumulate) {
+  if (!accumulate) ZeroRows(c, ldc, n, m);
   const int64_t mv = m / 8 * 8;
   for (int64_t p = 0; p < k; ++p) {
     const float* b_row = b + p * b_rs;
     for (int64_t i = 0; i < n; ++i) {
       const float av_s = a[i * a_rs + p * a_cs];
       const __m256 av = _mm256_set1_ps(av_s);
-      float* c_row = c + i * m;
+      float* c_row = c + i * ldc;
       int64_t j = 0;
       for (; j < mv; j += 8) {
         const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(b_row + j));
@@ -307,10 +309,13 @@ RankOneFn PickRankOne() {
 
 const RankOneFn g_rank_one = PickRankOne();
 
-/// The rank-one cut: a product with at most two micro-tiles of rows over a
-/// row-major B streams B's rows through g_rank_one and never packs it.
-inline bool IsRankOne(int64_t n, int64_t b_cs) {
-  return b_cs == 1 && n <= 2 * MR;
+/// The rank-one cut: a short product over a row-major B streams B's rows
+/// through g_rank_one and never packs it. Short means at most two
+/// micro-tiles of rows when B would be packed per call, but one row when
+/// its panels are prepacked: packing then costs nothing, and from two rows
+/// on the blocked nest's register tiles beat streaming B once per row.
+inline bool IsRankOne(int64_t n, int64_t b_cs, bool prepacked) {
+  return b_cs == 1 && n <= (prepacked ? 1 : 2 * MR);
 }
 
 /// Offset of the (jc, pc) panel in a full packing of B[k, m]: every column
@@ -321,27 +326,24 @@ inline int64_t PanelOffset(int64_t k, int64_t m, int64_t jc, int64_t pc) {
 }
 
 /// Blocked, panel-packed GEMM over logical operands given by strides:
-/// C[n,m] (+)= A·B with A element (i,p) at a[i*a_rs + p*a_cs] and B element
-/// (p,j) at b[p*b_rs + j*b_cs]. C is contiguous row-major. B's panels come
-/// from `packed` when given (it must hold this B), else they are packed
-/// here one (jc, pc) panel at a time; the loop nest is the same either way.
+/// C[n,m] (+)= A·B with A element (i,p) at a[i*a_rs + p*a_cs], B element
+/// (p,j) at b[p*b_rs + j*b_cs] and C row i at c + i*ldc (unit column
+/// stride). B's panels come from `packed` when given (it must hold this
+/// B), else they are packed here one (jc, pc) panel at a time; the loop
+/// nest is the same either way.
 void GemmBlockedStrided(const float* a, int64_t a_rs, int64_t a_cs,
                         const float* b, int64_t b_rs, int64_t b_cs, float* c,
-                        int64_t n, int64_t k, int64_t m, bool accumulate,
-                        const PackedB* packed = nullptr) {
+                        int64_t ldc, int64_t n, int64_t k, int64_t m,
+                        bool accumulate, const PackedB* packed = nullptr) {
   if (n <= 0 || m <= 0) return;
   if (k <= 0) {
     // Empty inner dimension: write mode must still define the output.
-    if (!accumulate) {
-      for (int64_t i = 0; i < n; ++i) {
-        std::memset(c + i * m, 0, static_cast<size_t>(m) * sizeof(float));
-      }
-    }
+    if (!accumulate) ZeroRows(c, ldc, n, m);
     return;
   }
-  if (IsRankOne(n, b_cs)) {
+  if (IsRankOne(n, b_cs, packed != nullptr)) {
     BIGCITY_TRACE_SPAN("gemm.compute", "kernels");
-    g_rank_one(a, a_rs, a_cs, b, b_rs, c, n, k, m, accumulate);
+    g_rank_one(a, a_rs, a_cs, b, b_rs, c, ldc, n, k, m, accumulate);
     return;
   }
   // The pack buffer is thread-local: at serve sizes it exceeds the malloc
@@ -385,7 +387,7 @@ void GemmBlockedStrided(const float* a, int64_t a_rs, int64_t a_cs,
           const float* pa_slab = pa.data() + (i0 / MR) * kc * MR;
           for (int64_t j0 = 0; j0 < nc; j0 += NR) {
             MicroKernel(pa_slab, pb_data + (j0 / NR) * kc * NR,
-                        c + (row_begin + i0) * m + jc + j0, m, kc,
+                        c + (row_begin + i0) * ldc + jc + j0, ldc, kc,
                         std::min(MR, mc - i0), std::min(NR, nc - j0),
                         load_c);
           }
@@ -616,35 +618,58 @@ void GemmAtBNaive(const float* a, const float* b, float* c, int64_t n,
   }
 }
 
+namespace {
+
+/// GemmStrided's naive backend: the same per-element ascending-p sums,
+/// read through the strides.
+void GemmStridedNaive(const float* a, int64_t a_rs, int64_t a_cs,
+                      const float* b, int64_t b_rs, int64_t b_cs, float* c,
+                      int64_t ldc, int64_t n, int64_t k, int64_t m,
+                      bool accumulate) {
+  for (int64_t i = 0; i < n; ++i) {
+    float* c_row = c + i * ldc;
+    for (int64_t j = 0; j < m; ++j) {
+      float acc = accumulate ? c_row[j] : 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        acc += a[i * a_rs + p * a_cs] * b[p * b_rs + j * b_cs];
+      }
+      c_row[j] = acc;
+    }
+  }
+}
+
+}  // namespace
+
 // --- Blocked backend --------------------------------------------------------
 
 void GemmABBlocked(const float* a, const float* b, float* c, int64_t n,
                    int64_t k, int64_t m, bool accumulate) {
-  GemmBlockedStrided(a, k, 1, b, m, 1, c, n, k, m, accumulate);
+  GemmBlockedStrided(a, k, 1, b, m, 1, c, m, n, k, m, accumulate);
 }
 
 void GemmABtBlocked(const float* a, const float* b, float* c, int64_t n,
                     int64_t k, int64_t m, bool accumulate) {
   // B[M,K] read as its transpose: element (p, j) of the logical [K,M]
   // operand is b[j*k + p].
-  GemmBlockedStrided(a, k, 1, b, 1, k, c, n, k, m, accumulate);
+  GemmBlockedStrided(a, k, 1, b, 1, k, c, m, n, k, m, accumulate);
 }
 
 void GemmAtBBlocked(const float* a, const float* b, float* c, int64_t n,
                     int64_t k, int64_t m, bool accumulate) {
   // A[N,K] read as its transpose: output rows are K, inner dimension is N,
   // and element (i, p) of the logical [K,N] operand is a[p*k + i].
-  GemmBlockedStrided(a, 1, k, b, m, 1, c, k, n, m, accumulate);
+  GemmBlockedStrided(a, 1, k, b, m, 1, c, m, k, n, m, accumulate);
 }
 
 bool GemmABReadsPanels(int64_t n) {
-  return g_backend == GemmBackend::kBlocked && !IsRankOne(n, /*b_cs=*/1);
+  return g_backend == GemmBackend::kBlocked &&
+         !IsRankOne(n, /*b_cs=*/1, /*prepacked=*/true);
 }
 
 // --- Dispatch ----------------------------------------------------------------
 
 // Dispatch-tier probes: every product in the library flows through these
-// three functions, so one call counter + one FLOP counter here gives exact
+// functions, so one call counter + one FLOP counter here gives exact
 // model-level arithmetic totals (all three patterns do 2*n*k*m flops).
 
 void GemmAB(const float* a, const float* b, float* c, int64_t n, int64_t k,
@@ -674,7 +699,23 @@ void GemmAB(const float* a, const float* b, const PackedB& packed, float* c,
   if (GemmABReadsPanels(n)) {
     BIGCITY_COUNTER_INC("kernels.gemm.prepacked_calls");
   }
-  GemmBlockedStrided(a, k, 1, b, m, 1, c, n, k, m, accumulate, &packed);
+  GemmBlockedStrided(a, k, 1, b, m, 1, c, m, n, k, m, accumulate, &packed);
+}
+
+void GemmStrided(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
+                 int64_t b_rs, int64_t b_cs, float* c, int64_t ldc, int64_t n,
+                 int64_t k, int64_t m, bool accumulate) {
+  BIGCITY_COUNTER_INC("kernels.gemm.calls");
+  BIGCITY_COUNTER_ADD("kernels.gemm.flops",
+                      2ull * static_cast<uint64_t>(n * k * m));
+  BIGCITY_TRACE_SPAN("gemm.strided", "kernels");
+  if (g_backend == GemmBackend::kNaive) {
+    GemmStridedNaive(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, n, k, m,
+                     accumulate);
+  } else {
+    GemmBlockedStrided(a, a_rs, a_cs, b, b_rs, b_cs, c, ldc, n, k, m,
+                       accumulate);
+  }
 }
 
 void GemmABt(const float* a, const float* b, float* c, int64_t n, int64_t k,

@@ -8,11 +8,14 @@
 namespace bigcity::nn::kernels {
 
 // High-performance GEMM layer shared by every nn op. Three access patterns
-// cover all forward/backward products in the models:
+// cover the forward/backward products over whole tensors:
 //
 //   GemmAB  : C[N,M] (+)= A[N,K]  · B[K,M]
 //   GemmABt : C[N,M] (+)= A[N,K]  · B[M,K]^T
 //   GemmAtB : C[K,M] (+)= A[N,K]^T · B[N,M]
+//
+// GemmStrided is their general case over strided operands and output rows
+// (the attention op's per-head column blocks).
 //
 // `accumulate` selects += (gradient accumulation) vs = (write mode; the
 // destination is fully overwritten and need not be initialized).
@@ -50,6 +53,15 @@ void GemmABt(const float* a, const float* b, float* c, int64_t n, int64_t k,
              int64_t m, bool accumulate);
 void GemmAtB(const float* a, const float* b, float* c, int64_t n, int64_t k,
              int64_t m, bool accumulate);
+
+/// C[N,M] (+)= A[N,K] · B[K,M] over strided operands: A element (i,p) at
+/// a[i*a_rs + p*a_cs], B element (p,j) at b[p*b_rs + j*b_cs], and C row i
+/// at c + i*ldc (unit column stride). The three entries above are its
+/// contiguous cases; the fused attention op reads each head's Q/K/V columns
+/// and writes its output columns in place through it. Same contract.
+void GemmStrided(const float* a, int64_t a_rs, int64_t a_cs, const float* b,
+                 int64_t b_rs, int64_t b_cs, float* c, int64_t ldc, int64_t n,
+                 int64_t k, int64_t m, bool accumulate);
 
 // --- Prepacked B operands ----------------------------------------------------
 //
@@ -96,16 +108,18 @@ class PackedB {
 std::shared_ptr<const PackedB> SharedPackB(const float* b, int64_t k,
                                            int64_t m);
 
-/// Whether a GemmAB with `n` output rows under the current backend reads
-/// packed panels. Short products (the rank-one path) and the naive backend
-/// read row-major B, so a caller need not fetch a packing for them.
+/// Whether a prepacked GemmAB with `n` output rows under the current
+/// backend reads packed panels. A one-row product (the rank-one path) and
+/// the naive backend read row-major B, so a caller need not fetch a
+/// packing for them. From two rows on the blocked nest reads the panels,
+/// where an unpacked B takes the rank-one path up to eight rows.
 bool GemmABReadsPanels(int64_t n);
 
 /// C[N,M] (+)= A[N,K] · B[K,M] with B also given as its packing (built from
 /// the same bytes as `b`, K = packed.k(), M = packed.m()). Honors backend()
-/// like GemmAB and gives the same bits; the naive backend and the rank-one
-/// path read `b`, the blocked loop nest reads the panels (counted by
-/// kernels.gemm.prepacked_calls).
+/// like GemmAB and gives the same bits; the naive backend and the one-row
+/// rank-one path read `b`, the blocked loop nest reads the panels (counted
+/// by kernels.gemm.prepacked_calls).
 void GemmAB(const float* a, const float* b, const PackedB& packed, float* c,
             int64_t n, bool accumulate);
 

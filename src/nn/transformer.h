@@ -13,8 +13,9 @@ namespace bigcity::nn {
 
 /// Per-layer attention KV state of a causal Transformer, for incremental
 /// decoding. `length()` is the number of already-processed sequence
-/// positions; Truncate() rolls the cache back to a shared prefix before
-/// extending with different suffix tokens.
+/// positions; Truncate() rolls the cache back to a shared prefix (O(1))
+/// before extending with different suffix tokens. Its rows live on the heap
+/// (AttentionKv), so a cache outlives the plan step that extended it.
 struct KvCache {
   std::vector<AttentionKv> layers;
 
@@ -23,11 +24,6 @@ struct KvCache {
     for (auto& layer : layers) layer.Truncate(rows);
   }
   void Clear() { layers.clear(); }
-  /// Pins every cached tensor to the heap so the cache survives arena
-  /// resets between plan-scoped inference steps.
-  void DetachToHeap() {
-    for (auto& layer : layers) layer.DetachToHeap();
-  }
 };
 
 /// Pre-LayerNorm transformer block (GPT-2 style):

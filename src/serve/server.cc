@@ -751,12 +751,10 @@ util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
       util::Result<std::vector<nn::Tensor>> result =
           model->TryBatchNextHopLogits(prefixes, &caches);
       if (result.ok()) {
-        // The new K/V slices live in the batch's plan arena; pin the
-        // copies to the heap so the sessions outlive the arena rewind.
-        nn::ArenaPin pin;
+        // The forward appended each member's K/V rows to its session's
+        // heap storage, which outlives the batch's plan arena.
         for (size_t i = 0; i < items.size(); ++i) {
           if (caches[i] == nullptr) continue;
-          sessions[i].cache.DetachToHeap();
           sessions[i].served = items[i]->request.trajectory;
           CheckinKvSession(kv, std::move(sessions[i]));
         }

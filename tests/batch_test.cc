@@ -473,8 +473,11 @@ TEST_F(BatchTest, InstructionKvFilledInPlanScopeOutlivesTheArena) {
 /// once, after FillLibrary() (a served version): each forwards its own
 /// prompt through the backbone (two share an instruction and race to fill
 /// it, two fill others), then runs every task's Try* entry point, starting
-/// at a different task per thread. Every output matches one thread's bit
-/// for bit. Run under TSan by ci/run_ci.sh tsan (serve_check).
+/// at a different task per thread, then decodes a walk hop by hop from a
+/// KV cache of its own. The four caches are seeded by the one next-hop
+/// instruction entry, so each first append must copy the shared rows, never
+/// write them in place. Every output matches one thread's bit for bit. Run
+/// under TSan by ci/run_ci.sh tsan (serve_check).
 TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
   core::BigCityModel model(dataset_, model_config_);
   model.tokenizer()->FillLibrary();
@@ -516,10 +519,25 @@ TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
     }
     return results;
   };
+  const auto walk_from = [](int t) { return 2 + t % 2; };
+  const auto decode_walk = [&](int t) {
+    nn::KvCache cache;
+    const std::vector<nn::KvCache*> caches = {&cache};
+    std::vector<nn::Tensor> logits;
+    for (int len = walk_from(t); len <= 8; ++len) {
+      util::Result<std::vector<nn::Tensor>> step =
+          model.TryBatchNextHopLogits({Prefix(trajectory, len)}, &caches);
+      EXPECT_TRUE(step.ok()) << step.status().ToString();
+      logits.push_back(step.ok() ? step.value()[0] : nn::Tensor());
+    }
+    return logits;
+  };
   std::vector<nn::Tensor> concurrent(kThreads);
   std::vector<std::vector<util::Result<nn::Tensor>>> concurrent_tasks(
       kThreads);
+  std::vector<std::vector<nn::Tensor>> walks(kThreads);
   std::latch start(kThreads);
+  std::latch decode_start(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -530,6 +548,8 @@ TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
               .task_outputs;
       concurrent_tasks[static_cast<size_t>(t)] =
           run_every_task(2 * static_cast<size_t>(t));
+      decode_start.arrive_and_wait();
+      walks[static_cast<size_t>(t)] = decode_walk(t);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -555,6 +575,15 @@ TEST_F(BatchTest, ConcurrentFirstAutogradFreeForwardsMatchOneThread) {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_TRUE(one_thread[task].ok());
       ExpectBitIdentical(got.value(), one_thread[task].value());
+    }
+    const std::vector<nn::Tensor>& walk = walks[static_cast<size_t>(t)];
+    ASSERT_EQ(walk.size(), static_cast<size_t>(9 - walk_from(t)));
+    for (size_t i = 0; i < walk.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "walk step " << i);
+      nn::NoGradGuard no_grad;
+      const data::Trajectory prefix =
+          Prefix(trajectory, walk_from(t) + static_cast<int>(i));
+      ExpectBitIdentical(walk[i], model.TryNextHopLogits(prefix).value());
     }
   }
 }

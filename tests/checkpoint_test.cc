@@ -13,6 +13,7 @@
 #include "nn/module.h"
 #include "nn/optim.h"
 #include "nn/tensor.h"
+#include "scratch_dir.h"
 #include "util/checkpoint.h"
 #include "util/fault_injection.h"
 #include "util/io.h"
@@ -22,7 +23,8 @@ namespace bigcity::util {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (testing_util::ProcessScratchDir("bigcity_checkpoint_") / name)
+      .string();
 }
 
 std::string ReadFileBytes(const std::string& path) {

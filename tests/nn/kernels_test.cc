@@ -215,9 +215,10 @@ TEST_F(KernelsTest, DispatchHonorsBackendSelection) {
 // --- Prepacked B operands ---------------------------------------------------
 
 /// The prepacked GemmAB against GemmABNaive and GemmABBlocked, memcmp-equal
-/// in write and accumulate modes at 1 and 4 threads. n covers the rank-one
-/// cut (8 | 9) and MC (64 | 65); (K, M) covers K > KC, M > NC and M not a
-/// multiple of NR.
+/// in write and accumulate modes at 1 and 4 threads. n covers the prepacked
+/// rank-one cut (1 | 2), every short product up to the unpacked cut (8 | 9)
+/// and MC (64 | 65); (K, M) covers K > KC, M > NC and M not a multiple of
+/// NR.
 TEST_F(KernelsTest, PrepackedMatchesNaiveAndBlocked) {
   const std::vector<std::pair<int64_t, int64_t>> depth_width = {
       {300, 37}, {64, 300}, {300, 270}, {17, 16}, {1, 5}};
@@ -229,7 +230,7 @@ TEST_F(KernelsTest, PrepackedMatchesNaiveAndBlocked) {
           RandomVec(static_cast<size_t>(k * m), &rng);
       const PackedB packed(b.data(), k, m);
       EXPECT_TRUE(packed.Holds(b.data()));
-      for (int64_t n : {1, 8, 9, 64, 65, 200}) {
+      for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 200}) {
         for (bool accumulate : {false, true}) {
           SCOPED_TRACE(testing::Message()
                        << "threads " << threads << " n " << n << " k " << k
@@ -248,9 +249,9 @@ TEST_F(KernelsTest, PrepackedMatchesNaiveAndBlocked) {
               CounterValue("kernels.gemm.prepacked_calls");
           GemmAB(a.data(), b.data(), packed, prepacked.data(), n,
                  accumulate);
-          // The panels are read above the rank-one cut only.
+          // Only a one-row product takes the rank-one path.
           ExpectCounterDelta("kernels.gemm.prepacked_calls", calls,
-                             n > 8 ? 1 : 0);
+                             n > 1 ? 1 : 0);
           const size_t bytes = c_size * sizeof(float);
           ASSERT_EQ(std::memcmp(naive.data(), prepacked.data(), bytes), 0);
           ASSERT_EQ(std::memcmp(blocked.data(), prepacked.data(), bytes), 0);
@@ -261,6 +262,86 @@ TEST_F(KernelsTest, PrepackedMatchesNaiveAndBlocked) {
                  accumulate);
           SetBackend(GemmBackend::kBlocked);
           ASSERT_EQ(std::memcmp(naive.data(), reference.data(), bytes), 0);
+        }
+      }
+    }
+  }
+}
+
+/// GemmStrided over strided A and B into C rows ldc apart, against
+/// GemmABNaive on contiguous copies: memcmp-equal under both backends at 1
+/// and 4 threads, in write and accumulate modes, with every C element
+/// outside the product left as it was. The shapes cover the rank-one path
+/// (unit B column stride, n <= 8), the blocked nest, K > KC and M > NC.
+TEST_F(KernelsTest, StridedMatchesContiguousNaive) {
+  struct Case {
+    int64_t n, k, m;
+    bool b_transposed;  // B read down its columns (an attention k_hᵀ).
+  };
+  const std::vector<Case> cases = {{1, 8, 30, true},   {6, 30, 8, false},
+                                   {8, 16, 16, false}, {9, 16, 16, true},
+                                   {70, 300, 37, false}, {5, 40, 270, true}};
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (GemmBackend backend : {GemmBackend::kBlocked, GemmBackend::kNaive}) {
+      for (const Case& t : cases) {
+        for (bool accumulate : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "threads " << threads << " naive "
+                       << (backend == GemmBackend::kNaive) << " n " << t.n
+                       << " k " << t.k << " m " << t.m << " accumulate "
+                       << accumulate);
+          util::Rng rng(11 + t.n + 7 * t.k + 3 * t.m);
+          // A lives in columns [3, 3 + k) of rows k + 5 wide; B is stored
+          // [k, m] in columns [2, 2 + m) of rows m + 4 wide, or as its
+          // transpose [m, k] in columns [1, 1 + k) of rows k + 3 wide.
+          const int64_t a_rs = t.k + 5;
+          const std::vector<float> a_buf =
+              RandomVec(static_cast<size_t>(t.n * a_rs), &rng);
+          const float* a = a_buf.data() + 3;
+          const int64_t b_ld = t.b_transposed ? t.k + 3 : t.m + 4;
+          const std::vector<float> b_buf = RandomVec(
+              static_cast<size_t>((t.b_transposed ? t.m : t.k) * b_ld), &rng);
+          const float* b = b_buf.data() + (t.b_transposed ? 1 : 2);
+          const int64_t b_rs = t.b_transposed ? 1 : b_ld;
+          const int64_t b_cs = t.b_transposed ? b_ld : 1;
+          std::vector<float> a_flat, b_flat;
+          for (int64_t i = 0; i < t.n; ++i) {
+            for (int64_t p = 0; p < t.k; ++p) a_flat.push_back(a[i * a_rs + p]);
+          }
+          for (int64_t p = 0; p < t.k; ++p) {
+            for (int64_t j = 0; j < t.m; ++j) {
+              b_flat.push_back(b[p * b_rs + j * b_cs]);
+            }
+          }
+          const int64_t ldc = t.m + 6;
+          const std::vector<float> c0 =
+              RandomVec(static_cast<size_t>(t.n * ldc), &rng);
+          std::vector<float> expected(static_cast<size_t>(t.n * t.m));
+          for (int64_t i = 0; i < t.n; ++i) {
+            for (int64_t j = 0; j < t.m; ++j) {
+              expected[static_cast<size_t>(i * t.m + j)] =
+                  c0[static_cast<size_t>(i * ldc + 2 + j)];
+            }
+          }
+          GemmABNaive(a_flat.data(), b_flat.data(), expected.data(), t.n, t.k,
+                      t.m, accumulate);
+          std::vector<float> c = c0;
+          SetBackend(backend);
+          GemmStrided(a, a_rs, 1, b, b_rs, b_cs, c.data() + 2, ldc, t.n, t.k,
+                      t.m, accumulate);
+          SetBackend(GemmBackend::kBlocked);
+          for (int64_t i = 0; i < t.n; ++i) {
+            for (int64_t j = 0; j < ldc; ++j) {
+              const auto at = static_cast<size_t>(i * ldc + j);
+              const bool inside = j >= 2 && j < 2 + t.m;
+              const float want =
+                  inside ? expected[static_cast<size_t>(i * t.m + j - 2)]
+                         : c0[at];
+              ASSERT_EQ(std::memcmp(&c[at], &want, sizeof(float)), 0)
+                  << "row " << i << " column " << j;
+            }
+          }
         }
       }
     }
@@ -792,6 +873,38 @@ TEST_P(FusedGradTest, MatMulNT) {
   auto loss = [&]() { return Sum(Square(MatMulNT(a, b))); };
   EXPECT_LT(MaxGradError(a, loss), kGradTolerance);
   EXPECT_LT(MaxGradError(b, loss), kGradTolerance);
+}
+
+TEST_P(FusedGradTest, MultiHeadAttention) {
+  util::Rng rng(26);
+  // Two heads of width 3 over two sequences of 2 and 3 rows; the first
+  // also decodes against a cached 2-row prefix, which gets no gradient.
+  Tensor q = Tensor::Randn({5, 6}, &rng, 0.5f, /*requires_grad=*/true);
+  Tensor k = Tensor::Randn({5, 6}, &rng, 0.5f, /*requires_grad=*/true);
+  Tensor v = Tensor::Randn({5, 6}, &rng, 0.5f, /*requires_grad=*/true);
+  Tensor w = Tensor::Randn({5, 6}, &rng);
+  AttentionKv prefix;
+  {
+    NoGradGuard no_grad;
+    MultiHeadAttention(Tensor::Randn({2, 6}, &rng), Tensor::Randn({2, 6}, &rng),
+                       Tensor::Randn({2, 6}, &rng), {2}, 2, true, {&prefix});
+  }
+  for (bool causal : {false, true}) {
+    for (bool cached : {false, true}) {
+      if (cached && !causal) continue;
+      auto loss = [&]() {
+        AttentionKv cache = prefix;  // Each evaluation decodes afresh.
+        std::vector<AttentionKv*> kv;
+        if (cached) kv = {&cache, nullptr};
+        return Sum(Mul(MultiHeadAttention(q, k, v, {2, 3}, 2, causal, kv), w));
+      };
+      SCOPED_TRACE(testing::Message() << "causal " << causal << " cached "
+                                      << cached);
+      EXPECT_LT(MaxGradError(q, loss), kGradTolerance);
+      EXPECT_LT(MaxGradError(k, loss), kGradTolerance);
+      EXPECT_LT(MaxGradError(v, loss), kGradTolerance);
+    }
+  }
 }
 
 TEST_P(FusedGradTest, MatMulThroughKernels) {

@@ -18,6 +18,7 @@
 #include "core/bigcity_model.h"
 #include "data/dataset.h"
 #include "nn/tensor.h"
+#include "scratch_dir.h"
 #include "obs/metrics.h"
 #include "serve/model_registry.h"
 #include "serve/rollout.h"
@@ -28,11 +29,10 @@
 namespace bigcity::serve {
 namespace {
 
-/// Fresh (empty) model directory under the system temp dir.
+/// Fresh (empty) model directory under this process's scratch directory.
 std::string MakeModelDir(const std::string& name) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / ("bigcity_rollout_" + name))
-          .string();
+      (testing_util::ProcessScratchDir("bigcity_rollout_") / name).string();
   std::filesystem::remove_all(path);
   std::filesystem::create_directories(path);
   return path;

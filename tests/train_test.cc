@@ -18,6 +18,7 @@
 #include "train/metrics.h"
 #include "train/trainer.h"
 #include "train/transfer.h"
+#include "scratch_dir.h"
 #include "util/fault_injection.h"
 
 namespace bigcity::train {
@@ -254,12 +255,13 @@ TrainConfig ResilienceConfig(const std::string& checkpoint_dir = "") {
   return config;
 }
 
-std::string ResilienceDir(const char* leaf) {
-  return (std::filesystem::temp_directory_path() / leaf).string();
+/// `leaf` under this process's scratch directory.
+std::string ScratchPath(const char* leaf) {
+  return (testing_util::ProcessScratchDir("bigcity_train_") / leaf).string();
 }
 
 TEST(ResilienceTest, InterruptedRunResumesBitIdentical) {
-  const std::string dir = ResilienceDir("bigcity_resume_test");
+  const std::string dir = ScratchPath("bigcity_resume_test");
   const std::string snapshot = dir + "/train_state.ckpt";
 
   // Reference run: never interrupted, no checkpointing.
@@ -303,7 +305,7 @@ TEST(ResilienceTest, InterruptedRunResumesBitIdentical) {
 }
 
 TEST(ResilienceTest, ResumeRejectsCorruptedSnapshot) {
-  const std::string dir = ResilienceDir("bigcity_corrupt_resume_test");
+  const std::string dir = ScratchPath("bigcity_corrupt_resume_test");
   std::filesystem::remove_all(dir);
   const std::string snapshot = dir + "/train_state.ckpt";
   data::CityDataset dataset(TinyCity("XA-corrupt", 78));
@@ -345,7 +347,7 @@ TEST(ResilienceTest, NanGradientStepSkippedAndRunRecovers) {
 }
 
 TEST(ResilienceTest, DivergenceRollsBackToLastGoodSnapshot) {
-  const std::string dir = ResilienceDir("bigcity_rollback_test");
+  const std::string dir = ScratchPath("bigcity_rollback_test");
   std::filesystem::remove_all(dir);
   data::CityDataset dataset(TinyCity("XA-rollback", 124));
   core::BigCityModel model(&dataset, TinyModelConfig());
@@ -381,7 +383,7 @@ TEST(ResilienceTest, DivergenceWithoutCheckpointDirFailsCleanly) {
 }
 
 TEST(ResilienceTest, TornCheckpointWriteSurfacesErrorAndKeepsOldSnapshot) {
-  const std::string dir = ResilienceDir("bigcity_torn_snapshot_test");
+  const std::string dir = ScratchPath("bigcity_torn_snapshot_test");
   std::filesystem::remove_all(dir);
   const std::string snapshot = dir + "/train_state.ckpt";
   data::CityDataset dataset(TinyCity("XA-torn", 126));
@@ -466,7 +468,7 @@ TEST(LibraryLifetimeTest, Stage2FillsEachSliceOnceWithCleanArenas) {
 }
 
 TEST(LibraryLifetimeTest, LoadingTrainingStateRebuildsLibrary) {
-  const std::string dir = ResilienceDir("bigcity_library_load_test");
+  const std::string dir = ScratchPath("bigcity_library_load_test");
   std::filesystem::remove_all(dir);
   data::CityDataset dataset(TinyCity("XA-library-load", 432));
   TrainConfig config = ResilienceConfig(dir);
@@ -508,9 +510,7 @@ std::string ReadWholeFile(const std::string& path) {
 }
 
 TEST(IntrospectionTest, HealthRecordsCarryPerLayerNorms) {
-  const std::string report =
-      (std::filesystem::temp_directory_path() / "bigcity_health_report.jsonl")
-          .string();
+  const std::string report = ScratchPath("bigcity_health_report.jsonl");
   std::filesystem::remove(report);
   data::CityDataset dataset(TinyCity("XA-health", 222));
   core::BigCityModel model(&dataset, TinyModelConfig());
@@ -535,9 +535,7 @@ TEST(IntrospectionTest, HealthRecordsCarryPerLayerNorms) {
 }
 
 TEST(IntrospectionTest, NanGradGuardTripNamesOffendingModule) {
-  const std::string report =
-      (std::filesystem::temp_directory_path() / "bigcity_nonfinite.jsonl")
-          .string();
+  const std::string report = ScratchPath("bigcity_nonfinite.jsonl");
   std::filesystem::remove(report);
   data::CityDataset dataset(TinyCity("XA-nonfinite", 223));
   core::BigCityModel model(&dataset, TinyModelConfig());
@@ -565,11 +563,9 @@ TEST(IntrospectionTest, NanGradGuardTripNamesOffendingModule) {
 }
 
 TEST(IntrospectionTest, EpochRecordsEmitPerEpochDeltas) {
-  const std::string report =
-      (std::filesystem::temp_directory_path() / "bigcity_delta_report.jsonl")
-          .string();
+  const std::string report = ScratchPath("bigcity_delta_report.jsonl");
   std::filesystem::remove(report);
-  const std::string dir = ResilienceDir("bigcity_delta_ckpt");
+  const std::string dir = ScratchPath("bigcity_delta_ckpt");
   std::filesystem::remove_all(dir);
   data::CityDataset dataset(TinyCity("XA-deltas", 224));
   core::BigCityModel model(&dataset, TinyModelConfig());
