@@ -308,18 +308,24 @@ void GemmABOperand(const float* a, const Tensor& b, float* out, int64_t n,
 }
 
 struct AttentionKv::Storage {
+  /// One heap block (whatever arena is active, tracked like any heap
+  /// payload) holding the keys then the values, left uninitialized: an
+  /// append writes every row before length() covers it.
   Storage(int64_t capacity, int64_t dim)
       : capacity(capacity),
         dim(dim),
-        keys(static_cast<size_t>(capacity * dim), 0.0f,
-             ArenaAllocator<float>(nullptr)),
-        values(static_cast<size_t>(capacity * dim), 0.0f,
-               ArenaAllocator<float>(nullptr)) {}
+        keys(ArenaAllocator<float>(nullptr).allocate(Floats())),
+        values(keys + capacity * dim) {}
+  ~Storage() { ArenaAllocator<float>(nullptr).deallocate(keys, Floats()); }
+  Storage(const Storage&) = delete;
+  Storage& operator=(const Storage&) = delete;
+
+  size_t Floats() const { return static_cast<size_t>(2 * capacity * dim); }
 
   const int64_t capacity;  // Rows.
   const int64_t dim;
-  FloatVec keys;  // [capacity, dim] on the heap, whatever arena is active.
-  FloatVec values;
+  float* const keys;  // [capacity, dim].
+  float* const values;
   /// Set when a second handle is made, never cleared.
   std::atomic<bool> shared{false};
 };
@@ -356,36 +362,35 @@ void AttentionKv::Append(const float* keys, const float* values,
   BIGCITY_CHECK(rows > 0 && dim > 0);
   if (storage_ != nullptr) BIGCITY_CHECK_EQ(storage_->dim, dim);
   const int64_t need = rows_ + rows;
-  if (storage_ == nullptr ||
-      storage_->shared.load(std::memory_order_relaxed) ||
-      need > storage_->capacity) {
-    // A fresh cache gets exactly its rows, a growing one half again as
-    // many: a decode adding a row or two per call copies its prefix only
-    // every few calls.
-    auto grown = std::make_shared<Storage>(
-        rows_ == 0 ? need : need + need / 2, dim);
-    const auto live = static_cast<size_t>(rows_ * dim);
+  const bool owned = storage_ != nullptr &&
+                     !storage_->shared.load(std::memory_order_relaxed);
+  if (!owned || need > storage_->capacity) {
+    // Owned storage that is full grows by half again, so a decode adding a
+    // row or two per call copies its prefix only every few calls. A fresh
+    // cache, or one leaving shared storage (a forward's local copy of an
+    // instruction entry often dies with the forward), gets exactly its rows.
+    auto grown = std::make_shared<Storage>(owned ? need + need / 2 : need,
+                                           dim);
+    const auto live = static_cast<size_t>(rows_ * dim) * sizeof(float);
     if (live > 0) {
-      std::memcpy(grown->keys.data(), storage_->keys.data(),
-                  live * sizeof(float));
-      std::memcpy(grown->values.data(), storage_->values.data(),
-                  live * sizeof(float));
+      std::memcpy(grown->keys, storage_->keys, live);
+      std::memcpy(grown->values, storage_->values, live);
     }
     storage_ = std::move(grown);
   }
   const auto at = static_cast<size_t>(rows_ * dim);
   const auto bytes = static_cast<size_t>(rows * dim) * sizeof(float);
-  std::memcpy(storage_->keys.data() + at, keys, bytes);
-  std::memcpy(storage_->values.data() + at, values, bytes);
+  std::memcpy(storage_->keys + at, keys, bytes);
+  std::memcpy(storage_->values + at, values, bytes);
   rows_ = need;
 }
 
 const float* AttentionKv::keys() const {
-  return rows_ > 0 ? storage_->keys.data() : nullptr;
+  return rows_ > 0 ? storage_->keys : nullptr;
 }
 
 const float* AttentionKv::values() const {
-  return rows_ > 0 ? storage_->values.data() : nullptr;
+  return rows_ > 0 ? storage_->values : nullptr;
 }
 
 Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
@@ -469,67 +474,67 @@ Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   }
   if (!grad) return MakeOpResult({total, dim}, std::move(out), {}, nullptr);
 
-  // The backward reads the caches' rows as they are now; its copies mark
-  // their storage shared, so a later append moves to storage of its own.
-  std::vector<AttentionKv> held;
-  for (AttentionKv* cache : kv) {
-    if (cache != nullptr) held.push_back(*cache);
-  }
+  // The backward reads each sequence's keys and values from k and v, not
+  // from a cache a later append may overwrite. A cached prefix's rows are
+  // no tensor a gradient could reach, so a backward through a cached decode
+  // fails; its grad-on forward alone is fine.
+  const bool cached_prefix =
+      std::any_of(seqs.begin(), seqs.end(),
+                  [](const AttentionSeq& seq) { return seq.prefix > 0; });
   return MakeOpResult(
       {total, dim}, std::move(out), {qi, ki, vi},
-      [qi, ki, vi, seqs = std::move(seqs), held = std::move(held),
-       probs = std::move(probs), total, dim, num_heads, head_dim, max_scores,
-       scale, causal](TensorImpl& self) {
+      [qi, ki, vi, lens, cached_prefix, probs = std::move(probs), total, dim,
+       num_heads, head_dim, max_scores, scale, causal](TensorImpl& self) {
+        BIGCITY_CHECK(!cached_prefix)
+            << "MultiHeadAttention cannot backpropagate into a cached prefix";
         const bool score_grad = qi->needs_grad || ki->needs_grad;
         const float* g = self.grad.data();
         const float* qd = qi->data.data();
+        const float* kd = ki->data.data();
+        const float* vd = vi->data.data();
         const auto size = static_cast<size_t>(total * dim);
         FloatVec dq(qi->needs_grad ? size : 0);
         FloatVec dk(ki->needs_grad ? size : 0);
         FloatVec dv(vi->needs_grad ? size : 0);
         FloatVec dp(static_cast<size_t>(score_grad ? max_scores : 0));
         FloatVec ds(dp.size());
-        int64_t at = 0;
-        for (const AttentionSeq& seq : seqs) {
-          const int64_t width = seq.prefix + seq.len;
+        int64_t off = 0, at = 0;
+        for (const int64_t len : lens) {
           for (int64_t h = 0; h < num_heads; ++h) {
             // The head's column block of the sequence's rows.
-            const int64_t block = seq.off * dim + h * head_dim;
+            const int64_t block = off * dim + h * head_dim;
             const float* p = probs.data() + at;
-            at += seq.len * width;
+            at += len * len;
             if (vi->needs_grad) {
-              // dv_h of the sequence's own keys: pᵀ · dout_h, skipping the
-              // cached prefix's columns of p.
-              kernels::GemmStrided(p + seq.prefix, 1, width, g + block, dim, 1,
-                                   dv.data() + block, dim, seq.len, seq.len,
-                                   head_dim, /*accumulate=*/false);
+              // dv_h = pᵀ · dout_h.
+              kernels::GemmStrided(p, 1, len, g + block, dim, 1,
+                                   dv.data() + block, dim, len, len, head_dim,
+                                   /*accumulate=*/false);
             }
             if (!score_grad) continue;
             // dp = dout_h · v_hᵀ, then the softmax backward into zeroed ds
             // (masked entries stay 0).
-            kernels::GemmStrided(g + block, dim, 1,
-                                 seq.values + h * head_dim, 1, dim,
-                                 dp.data(), width, seq.len, head_dim, width,
+            kernels::GemmStrided(g + block, dim, 1, vd + block, 1, dim,
+                                 dp.data(), len, len, head_dim, len,
                                  /*accumulate=*/false);
-            std::fill_n(ds.data(), seq.len * width, 0.0f);
-            for (int64_t i = 0; i < seq.len; ++i) {
-              SoftmaxRowBackward(p + i * width, dp.data() + i * width,
-                                 ds.data() + i * width,
-                                 causal ? seq.prefix + i + 1 : width, scale);
+            std::fill_n(ds.data(), len * len, 0.0f);
+            for (int64_t i = 0; i < len; ++i) {
+              SoftmaxRowBackward(p + i * len, dp.data() + i * len,
+                                 ds.data() + i * len, causal ? i + 1 : len,
+                                 scale);
             }
             if (qi->needs_grad) {
-              kernels::GemmStrided(ds.data(), width, 1,
-                                   seq.keys + h * head_dim, dim, 1,
-                                   dq.data() + block, dim, seq.len, width,
-                                   head_dim, /*accumulate=*/false);
+              kernels::GemmStrided(ds.data(), len, 1, kd + block, dim, 1,
+                                   dq.data() + block, dim, len, len, head_dim,
+                                   /*accumulate=*/false);
             }
             if (ki->needs_grad) {
-              kernels::GemmStrided(ds.data() + seq.prefix, 1, width,
-                                   qd + block, dim, 1, dk.data() + block, dim,
-                                   seq.len, seq.len, head_dim,
+              kernels::GemmStrided(ds.data(), 1, len, qd + block, dim, 1,
+                                   dk.data() + block, dim, len, len, head_dim,
                                    /*accumulate=*/false);
             }
           }
+          off += len;
         }
         // Every element above is one +0-seeded sum, never −0, so adding it
         // gives what the per-head graph's slice and concat backwards add.

@@ -15,9 +15,9 @@ namespace bigcity::nn {
 ///
 /// The rows live in heap storage whatever arena is active, so a cache
 /// outlives the plan step that extends it. Copies share the storage by
-/// handle and mark it shared; a shared or full storage is copied (live rows
-/// only, with headroom) by the next Append, so an append never writes rows
-/// another handle reads.
+/// handle and mark it shared; the next Append copies the live rows out of
+/// shared storage, so an append never writes rows another handle reads.
+/// Owned storage that is full grows with headroom.
 class AttentionKv {
  public:
   AttentionKv() = default;
@@ -74,13 +74,13 @@ Tensor BiasLeakyRelu(const Tensor& x, const Tensor& b, float slope = 0.2f);
 /// probability exactly 0.
 Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal);
 
-/// Offset-causal variant for KV-cached incremental decoding: scores are
-/// [S, P+S] where row i is global sequence position row_offset + i, so
-/// entries j > row_offset + i get probability exactly 0. Requires
-/// row_offset + S == cols when causal; row_offset 0 is the plain causal
-/// softmax. Computes each kept entry with the exact same operation order as
-/// the full-sequence path, so cached decoding is bit-identical to a fresh
-/// forward.
+/// Offset-causal variant: scores are [S, P+S] where row i is global
+/// sequence position row_offset + i, so entries j > row_offset + i get
+/// probability exactly 0. Requires row_offset + S == cols when causal;
+/// row_offset 0 is the plain causal softmax. Learned-query attention calls
+/// the non-causal form. MultiHeadAttention computes its rows with the same
+/// helper, so attention_test's per-head reference calls the offset form to
+/// check the op's cached decodes.
 Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
                            int64_t row_offset);
 
@@ -99,10 +99,10 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
 ///
 /// Outputs, cache contents and q/k/v gradients are bit-identical to the
 /// per-head graph (SliceCols, MatMulNT, ScaledMaskedSoftmax, MatMul,
-/// Concat): the same products in the same order (DESIGN.md §4.8). A cached
-/// prefix is a constant: its rows get no gradient, and a node that will
-/// backpropagate keeps a copy of each cache it read (AttentionKv copies
-/// share storage), so later appends do not overwrite what it reads.
+/// Concat): the same products in the same order (DESIGN.md §4.8). The
+/// backward reads k and v, never a cache, and CHECK-fails when a sequence
+/// had a cached prefix: cached rows are not tensors, so a cached decode
+/// may run with autograd on but cannot be backpropagated.
 Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                           const std::vector<int64_t>& lens, int64_t num_heads,
                           bool causal,

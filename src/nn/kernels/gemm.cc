@@ -309,13 +309,27 @@ RankOneFn PickRankOne() {
 
 const RankOneFn g_rank_one = PickRankOne();
 
+/// Rows up to which a product over prepacked panels still takes the
+/// rank-one path. Packing then costs nothing, and the AVX-512 micro-kernel
+/// beats streaming B from two rows on at every weight shape measured; the
+/// AVX2 one loses at some short shapes (k = 8, or two rows of a 64×64
+/// weight) and the scalar one at all of them, so they keep the unpacked
+/// cut (DESIGN.md §4.8).
+int64_t PickPrepackedRankOneRows() {
+#if BIGCITY_KERNEL_X86
+  if (g_micro_kernel == MicroKernelAvx512) return 1;
+#endif
+  return 2 * MR;
+}
+
+const int64_t g_prepacked_rank_one_rows = PickPrepackedRankOneRows();
+
 /// The rank-one cut: a short product over a row-major B streams B's rows
 /// through g_rank_one and never packs it. Short means at most two
-/// micro-tiles of rows when B would be packed per call, but one row when
-/// its panels are prepacked: packing then costs nothing, and from two rows
-/// on the blocked nest's register tiles beat streaming B once per row.
+/// micro-tiles of rows, or g_prepacked_rank_one_rows when B's panels are
+/// prepacked.
 inline bool IsRankOne(int64_t n, int64_t b_cs, bool prepacked) {
-  return b_cs == 1 && n <= (prepacked ? 1 : 2 * MR);
+  return b_cs == 1 && n <= (prepacked ? g_prepacked_rank_one_rows : 2 * MR);
 }
 
 /// Offset of the (jc, pc) panel in a full packing of B[k, m]: every column

@@ -109,17 +109,17 @@ std::shared_ptr<const PackedB> SharedPackB(const float* b, int64_t k,
                                            int64_t m);
 
 /// Whether a prepacked GemmAB with `n` output rows under the current
-/// backend reads packed panels. A one-row product (the rank-one path) and
-/// the naive backend read row-major B, so a caller need not fetch a
-/// packing for them. From two rows on the blocked nest reads the panels,
-/// where an unpacked B takes the rank-one path up to eight rows.
+/// backend reads packed panels. Short products (the rank-one path) and the
+/// naive backend read row-major B, so a caller need not fetch a packing
+/// for them. Short means one row with the AVX-512 micro-kernel, else up to
+/// eight rows as for an unpacked B.
 bool GemmABReadsPanels(int64_t n);
 
 /// C[N,M] (+)= A[N,K] · B[K,M] with B also given as its packing (built from
 /// the same bytes as `b`, K = packed.k(), M = packed.m()). Honors backend()
-/// like GemmAB and gives the same bits; the naive backend and the one-row
-/// rank-one path read `b`, the blocked loop nest reads the panels (counted
-/// by kernels.gemm.prepacked_calls).
+/// like GemmAB and gives the same bits; the naive backend and the rank-one
+/// path read `b`, the blocked loop nest reads the panels (counted by
+/// kernels.gemm.prepacked_calls).
 void GemmAB(const float* a, const float* b, const PackedB& packed, float* c,
             int64_t n, bool accumulate);
 

@@ -4,6 +4,7 @@
 // BIGCITY_GEMM=naive) and at 1 and 4 kernel threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -40,8 +41,7 @@ struct ReferenceKv {
 /// The composition MultiHeadAttention replaced: per sequence, row slices of
 /// q/k/v with its cached prefix concatenated in front of k and v; per head
 /// SliceCols, MatMulNT, ScaledMaskedSoftmax and MatMul; then the head and
-/// sequence Concats. The cache keeps its rows detached, so a cached prefix
-/// gets no gradient here either.
+/// sequence Concats. The cache keeps its rows detached.
 Tensor ReferenceAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                           const std::vector<int64_t>& lens, int64_t num_heads,
                           bool causal,
@@ -128,7 +128,9 @@ struct Inputs {
 };
 
 /// Runs the op and the reference on the same values; with `grad` also
-/// backpropagates Σ out ⊙ w through both and compares the q/k/v gradients.
+/// backpropagates Σ out ⊙ w through both and compares the q/k/v gradients,
+/// unless a sequence decodes from a cached prefix (the op refuses that
+/// backward; its grad-on forward must still match).
 void ExpectParity(const std::vector<int64_t>& lens, int64_t num_heads,
                   bool causal, bool grad, util::Rng* rng,
                   const std::vector<AttentionKv*>& kv = {},
@@ -142,6 +144,11 @@ void ExpectParity(const std::vector<int64_t>& lens, int64_t num_heads,
   const std::vector<float> w = RandomValues(rows * dim, rng);
   Inputs fused = Inputs::Make(q, k, v, w, rows, dim, grad);
   Inputs graph = Inputs::Make(q, k, v, w, rows, dim, grad);
+  const bool cached_prefix = std::any_of(
+      kv.begin(), kv.end(),
+      [](const AttentionKv* cache) {
+        return cache != nullptr && cache->length() > 0;
+      });
   Tensor out, expected;
   {
     // Autograd-free forwards build no graph on either side.
@@ -156,7 +163,7 @@ void ExpectParity(const std::vector<int64_t>& lens, int64_t num_heads,
   for (size_t s = 0; s < kv.size(); ++s) {
     if (kv[s] != nullptr) ExpectSameRows(*kv[s], *reference_kv[s], dim);
   }
-  if (!grad) return;
+  if (!grad || cached_prefix) return;
   Sum(Mul(out, fused.weight)).Backward();
   Sum(Mul(expected, graph.weight)).Backward();
   ExpectSameBits(fused.q.grad().data(), graph.q.grad().data(), rows * dim,
@@ -240,38 +247,26 @@ TEST_F(AttentionParityTest, DecodeChainsMatchPerHeadGraph) {
   }
 }
 
-// A backward reads the cache rows its forward attended, even when the
-// cache has since been truncated and extended in place.
-TEST_F(AttentionParityTest, BackwardReadsTheRowsItsForwardAttended) {
+// Cached rows are not tensors a gradient could reach: a backward through a
+// decode with a cached prefix fails instead of dropping their gradient.
+TEST(AttentionDeathTest, BackwardThroughCachedPrefixFails) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   util::Rng rng(5);
   const int64_t heads = 2, dim = heads * kHeadDim;
   AttentionKv cache;
-  ReferenceKv reference;
-  ExpectParity({12}, heads, true, /*grad=*/false, &rng, {&cache},
-               {&reference});
-  const std::vector<float> q = RandomValues(3 * dim, &rng);
-  const std::vector<float> k = RandomValues(3 * dim, &rng);
-  const std::vector<float> v = RandomValues(3 * dim, &rng);
-  const std::vector<float> w = RandomValues(3 * dim, &rng);
-  Inputs fused = Inputs::Make(q, k, v, w, 3, dim, /*grad=*/true);
-  Inputs graph = Inputs::Make(q, k, v, w, 3, dim, /*grad=*/true);
-  Tensor out = MultiHeadAttention(fused.q, fused.k, fused.v, {3}, heads,
-                                  true, {&cache});
-  Tensor expected = ReferenceAttention(graph.q, graph.k, graph.v, {3}, heads,
-                                       true, {&reference});
-  // Overwrite the attended rows 10.. before the backward runs.
-  cache.Truncate(10);
-  reference.Truncate(10);
-  ExpectParity({4}, heads, true, /*grad=*/false, &rng, {&cache},
-               {&reference});
-  Sum(Mul(out, fused.weight)).Backward();
-  Sum(Mul(expected, graph.weight)).Backward();
-  ExpectSameBits(fused.q.grad().data(), graph.q.grad().data(), 3 * dim,
-                 "q gradient");
-  ExpectSameBits(fused.k.grad().data(), graph.k.grad().data(), 3 * dim,
-                 "k gradient");
-  ExpectSameBits(fused.v.grad().data(), graph.v.grad().data(), 3 * dim,
-                 "v gradient");
+  {
+    NoGradGuard no_grad;
+    MultiHeadAttention(Tensor::FromData({4, dim}, RandomValues(4 * dim, &rng)),
+                       Tensor::FromData({4, dim}, RandomValues(4 * dim, &rng)),
+                       Tensor::FromData({4, dim}, RandomValues(4 * dim, &rng)),
+                       {4}, heads, /*causal=*/true, {&cache});
+  }
+  Tensor q = Tensor::FromData({1, dim}, RandomValues(dim, &rng), true);
+  Tensor k = Tensor::FromData({1, dim}, RandomValues(dim, &rng), true);
+  Tensor v = Tensor::FromData({1, dim}, RandomValues(dim, &rng), true);
+  Tensor out = MultiHeadAttention(q, k, v, {1}, heads, true, {&cache});
+  EXPECT_EQ(cache.length(), 5);
+  EXPECT_DEATH(Sum(out).Backward(), "cached prefix");
 }
 
 /// Appends `rows` random rows to `cache` through the op (autograd-free).
@@ -291,7 +286,8 @@ std::vector<float> Snapshot(const float* data, int64_t count) {
 
 // An instruction-K/V entry seeds caches by handle, and a cache can be
 // copied; neither changes when a cache sharing its storage extends. An
-// owned cache with room appends in place.
+// owned cache with room appends in place, and one without grows with
+// headroom.
 TEST_F(AttentionParityTest, SharedStorageKeepsItsBytes) {
   util::Rng rng(9);
   const int64_t heads = 2, dim = heads * kHeadDim;
@@ -311,22 +307,33 @@ TEST_F(AttentionParityTest, SharedStorageKeepsItsBytes) {
                  "entry values");
   ExpectSameBits(seeded.keys(), entry_keys.data(), 6 * dim, "seeded prefix");
 
-  // The copy has headroom and no other handle: Truncate + append in place.
+  // The copy owns its storage: Truncate + append in place.
   const float* storage = seeded.keys();
   seeded.Truncate(7);
   Extend(&seeded, 1, heads, &rng);
   EXPECT_EQ(seeded.keys(), storage);
   EXPECT_EQ(seeded.length(), 8);
 
+  // It was copied at exactly its rows, so the next row moves it to storage
+  // with headroom, where the rows after that append in place.
+  Extend(&seeded, 1, heads, &rng);
+  EXPECT_NE(seeded.keys(), storage);
+  storage = seeded.keys();
+  Extend(&seeded, 2, heads, &rng);
+  EXPECT_EQ(seeded.keys(), storage);
+  EXPECT_EQ(seeded.length(), 11);
+  ExpectSameBits(seeded.keys(), entry_keys.data(), 6 * dim, "grown prefix");
+
   AttentionKv copied = seeded;
-  const std::vector<float> copied_keys = Snapshot(copied.keys(), 8 * dim);
-  const std::vector<float> copied_values = Snapshot(copied.values(), 8 * dim);
+  const std::vector<float> copied_keys = Snapshot(copied.keys(), 11 * dim);
+  const std::vector<float> copied_values =
+      Snapshot(copied.values(), 11 * dim);
   seeded.Truncate(5);
   Extend(&seeded, 2, heads, &rng);
   EXPECT_NE(seeded.keys(), copied.keys());
-  EXPECT_EQ(copied.length(), 8);
-  ExpectSameBits(copied.keys(), copied_keys.data(), 8 * dim, "copied keys");
-  ExpectSameBits(copied.values(), copied_values.data(), 8 * dim,
+  EXPECT_EQ(copied.length(), 11);
+  ExpectSameBits(copied.keys(), copied_keys.data(), 11 * dim, "copied keys");
+  ExpectSameBits(copied.values(), copied_values.data(), 11 * dim,
                  "copied values");
   ExpectSameBits(entry.keys(), entry_keys.data(), 6 * dim, "entry keys");
 }

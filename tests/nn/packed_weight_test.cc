@@ -194,13 +194,14 @@ TEST_F(PackedWeightTest, OnlyWeightsTheForwardDoesNotTrainArePacked) {
   MatMul(x, activation);
   ExpectCounterDelta("kernels.gemm.prepacked_calls", calls, 0);
   EXPECT_EQ(activation.impl()->packed, nullptr);
-  // A one-row product takes the rank-one path and fetches no packing;
-  // from two rows on the blocked nest reads the panels.
+  // Short products take the rank-one path and fetch no packing: one row
+  // always, up to eight unless the micro-kernel beats it there.
   Linear short_only(24, 48, &rng);
   short_only.Forward(Tensor::Randn({1, 24}, &rng));
   EXPECT_EQ(PanelsOf(short_only.weight()), nullptr);
-  short_only.Forward(Tensor::Randn({2, 24}, &rng));
-  EXPECT_NE(PanelsOf(short_only.weight()), nullptr);
+  short_only.Forward(Tensor::Randn({8, 24}, &rng));
+  EXPECT_EQ(PanelsOf(short_only.weight()) != nullptr,
+            kernels::GemmABReadsPanels(8));
 }
 
 TEST_F(PackedWeightTest, EqualWeightsShareOnePacking) {
